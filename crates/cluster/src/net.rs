@@ -169,6 +169,36 @@ pub struct Fabric {
     next_gen: u64,
     fill_mode: FillMode,
     counters: NetFillCounters,
+    /// Link-indexed working memory reused by every fill, so a fill costs
+    /// O(flows + touched links) rather than O(links in the topology).
+    scratch: FillScratch,
+}
+
+/// Persistent, link-indexed fill scratch, sized once to every link id
+/// plus one spare slot for the star's (possibly uncapped, hence
+/// routeless) switch core id `2·hosts`.
+#[derive(Debug, Clone, Default)]
+struct FillScratch {
+    /// Component union-find over link ids; the identity between fills.
+    uf: UnionFind,
+    /// Per-round residual capacity and unfrozen-flow count of each link.
+    /// Only entries of links touched by the current fill are meaningful:
+    /// each round rewrites all of them before reading any, so stale
+    /// values from earlier fills are never observed and need no clearing.
+    res: Vec<f64>,
+    cnt: Vec<u32>,
+}
+
+impl FillScratch {
+    fn new(slots: usize) -> Self {
+        FillScratch {
+            uf: UnionFind {
+                parent: (0..slots).collect(),
+            },
+            res: vec![0.0; slots],
+            cnt: vec![0; slots],
+        }
+    }
 }
 
 impl Fabric {
@@ -234,6 +264,7 @@ impl Fabric {
             link_capacity[2 * hosts + i] = link_bw * scale;
         }
         let switch_slot = switch_capacity.is_some().then_some(2 * hosts);
+        let scratch = FillScratch::new(topo.num_links() + 1);
         Fabric {
             topo,
             link_capacity,
@@ -255,6 +286,7 @@ impl Fabric {
             next_gen: 0,
             fill_mode: FillMode::default(),
             counters: NetFillCounters::default(),
+            scratch,
         }
     }
 
@@ -641,7 +673,7 @@ impl Fabric {
             self.dirty_links.clear();
             let ids: Vec<FlowId> = self.flows.keys().copied().collect();
             self.counters.flows_refilled += ids.len() as u64;
-            let rates = self.fill_subset(&ids);
+            let rates = self.fill(&ids);
             for (id, rate) in rates {
                 self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
             }
@@ -649,11 +681,11 @@ impl Fabric {
         }
 
         // Union links into components via the current flow set; a component
-        // needs refilling iff it contains a dirtied link. The `+ 1` spare
-        // slot covers the star's (possibly uncapped, hence routeless)
-        // switch core id `2·hosts`.
-        let mut uf = UnionFind::new(self.topo.num_links() + 1);
+        // needs refilling iff it contains a dirtied link.
+        let uf = &mut self.scratch.uf;
+        let mut route_links = 0;
         for f in self.flows.values() {
+            route_links += f.route.len();
             let first = f.route[0] as usize;
             for &link in &f.route {
                 uf.union(first, link as usize);
@@ -668,10 +700,27 @@ impl Fabric {
             .filter(|(_, f)| dirty_roots.contains(&uf.find(f.route[0] as usize)))
             .map(|(&id, _)| id)
             .collect();
+        // Back to the identity. Union and path halving only write parents
+        // of links on live routes (a root is always such a link, and a
+        // dirty link on no live route is its own root), so resetting those
+        // restores every entry. When the live routes name more links than
+        // the topology has, one dense pass over the links is cheaper.
+        if route_links < uf.parent.len() {
+            for f in self.flows.values() {
+                for &link in &f.route {
+                    uf.parent[link as usize] = link as usize;
+                }
+            }
+        } else {
+            for (link, parent) in uf.parent.iter_mut().enumerate() {
+                *parent = link;
+            }
+        }
+        debug_assert!(uf.is_identity(), "fill left the union-find scratch dirty");
         self.counters.flows_refilled += refill.len() as u64;
         self.counters.flows_reused += (self.flows.len() - refill.len()) as u64;
 
-        let rates = self.fill_subset(&refill);
+        let rates = self.fill(&refill);
         for (id, rate) in rates {
             self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
         }
@@ -682,8 +731,7 @@ impl Fabric {
         #[cfg(debug_assertions)]
         {
             let all: Vec<FlowId> = self.flows.keys().copied().collect();
-            let scratch = self.fill_subset(&all);
-            for (id, rate) in scratch {
+            for (id, rate) in self.fill(&all) {
                 let kept = self.flows[&id].rate;
                 debug_assert_eq!(
                     kept.to_bits(),
@@ -727,20 +775,30 @@ impl Fabric {
         }
     }
 
+    /// [`fill_subset`](Self::fill_subset) over the fabric's own scratch.
+    fn fill(&mut self, ids: &[FlowId]) -> Vec<(FlowId, f64)> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let rates = self.fill_subset(ids, &mut scratch);
+        self.scratch = scratch;
+        rates
+    }
+
     /// Progressive filling restricted to `ids`: grow all unfrozen flows at
     /// one common rate until a link or cap binds; freeze; repeat. Correct as
     /// long as `ids` is a union of whole components — flows outside `ids`
     /// then share no link with flows inside, so the restricted residuals
-    /// equal the global ones. Pure: returns the rates without applying them.
+    /// equal the global ones. Pure apart from `scratch`: returns the rates
+    /// without applying them.
     ///
     /// Hot path: components reach 10⁵ flows on the large fat-tree points,
-    /// so per-round state lives in dense link-indexed arrays instead of
-    /// ordered maps. Every floating-point operation runs in the same order
-    /// as the original map-based formulation — residual subtraction walks
-    /// flows in ascending `FlowId`, the growth limit folds links in
-    /// ascending link id — so the result is bitwise identical (the debug
-    /// oracle and the star proptests pin this).
-    fn fill_subset(&self, ids: &[FlowId]) -> Vec<(FlowId, f64)> {
+    /// so per-round state lives in dense link-indexed arrays (the
+    /// persistent `scratch`, never reallocated) instead of ordered maps.
+    /// Every floating-point operation runs in the same order as the
+    /// original map-based formulation — residual subtraction walks flows in
+    /// ascending `FlowId`, the growth limit folds links in ascending link
+    /// id — so the result is bitwise identical (the debug oracle and the
+    /// star proptests pin this).
+    fn fill_subset(&self, ids: &[FlowId], scratch: &mut FillScratch) -> Vec<(FlowId, f64)> {
         if ids.is_empty() {
             return Vec::new();
         }
@@ -755,9 +813,7 @@ impl Fabric {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-        let width = touched.last().map_or(0, |&l| l + 1);
-        let mut res: Vec<f64> = vec![0.0; width];
-        let mut cnt: Vec<u32> = vec![0; width];
+        let (res, cnt) = (&mut scratch.res[..], &mut scratch.cnt[..]);
 
         let n = sorted.len();
         let mut frozen_rate: Vec<Option<f64>> = vec![None; n];
@@ -831,15 +887,14 @@ impl Fabric {
 }
 
 /// Minimal deterministic union-find with path halving.
+#[derive(Debug, Clone, Default)]
 struct UnionFind {
     parent: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
+    fn is_identity(&self) -> bool {
+        self.parent.iter().enumerate().all(|(i, &p)| i == p)
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -1191,6 +1246,69 @@ mod tests {
         // FullRescan paid one pass per mutation; incremental paid one total.
         assert_eq!(full.fill_counters().fills, pairs.len() as u64);
         assert_eq!(inc.fill_counters().fills, 1);
+    }
+
+    /// A 10k-host star carrying only 1–3 flows at a time: every fill must
+    /// leave the persistent union-find scratch as the identity (it is reset
+    /// sparsely, never reallocated), and the rates must equal an eager
+    /// FullRescan fabric's bit for bit.
+    #[test]
+    fn sparse_fill_scratch_stays_identity_on_a_10k_host_star() {
+        let hosts = 10_000;
+        let mk = || {
+            Fabric::new(
+                hosts,
+                100.0,
+                None,
+                SimSpan::ZERO,
+                Some((90.0, 110.0)),
+                RngFactory::new(41).stream("sparse"),
+            )
+        };
+        let (mut inc, mut full) = (mk(), mk());
+        full.set_fill_mode(FillMode::FullRescan);
+        let mut rng = RngFactory::new(42).stream("churn");
+        let mut now = SimTime::ZERO;
+        let mut live: Vec<(FlowId, FlowId)> = Vec::new();
+        for _ in 0..200 {
+            now += SimSpan::from_millis(1);
+            // Keep 1–3 flows in flight: retire one when full, then top up
+            // to a random target.
+            if live.len() == 3 {
+                let (a, b) = live.remove(rng.random_range(0..3));
+                assert_eq!(inc.cancel_flow(now, a), full.cancel_flow(now, b));
+            }
+            let target = rng.random_range(1..=3);
+            while live.len() < target {
+                let src = rng.random_range(0..hosts);
+                let dst = (src + rng.random_range(1..hosts)) % hosts;
+                let bytes = rng.random_range(1e3..1e6);
+                let a = inc.start_flow(now, NodeId(src), NodeId(dst), bytes);
+                let b = full.start_flow(now, NodeId(src), NodeId(dst), bytes);
+                live.push((a, b));
+            }
+            if rng.random_range(0..4) == 0 {
+                let node = NodeId(rng.random_range(0..hosts));
+                inc.set_link_factor(now, node, 0.5);
+                full.set_link_factor(now, node, 0.5);
+            }
+            assert_eq!(inc.next_completion(), full.next_completion());
+            assert!(
+                inc.scratch.uf.is_identity(),
+                "union-find scratch left dirty"
+            );
+            assert_eq!(inc.scratch.uf.parent.len(), 2 * hosts + 1);
+            for &(a, b) in &live {
+                assert_eq!(
+                    inc.rate_of(a).unwrap().to_bits(),
+                    full.rate_of(b).unwrap().to_bits()
+                );
+            }
+            let (da, db) = (inc.take_completed(now), full.take_completed(now));
+            assert_eq!(da.len(), db.len());
+            live.retain(|&(a, _)| da.iter().all(|d| d.id != a));
+        }
+        assert!(inc.fill_counters().fills >= 100, "churn must refill often");
     }
 }
 

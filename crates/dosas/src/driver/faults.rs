@@ -43,24 +43,44 @@ impl Driver {
     /// Re-evaluate the fault plan at a window boundary and push the current
     /// degradation state into the cluster resources. Factors are applied
     /// absolutely (not incrementally), so overlapping windows compose and
-    /// closing the last window restores exactly the base capacity.
+    /// closing the last window restores exactly the base capacity. A node's
+    /// fault state only changes at its own window boundaries, so only the
+    /// nodes the plan lists for `now` are visited, in ascending id order
+    /// (the order `schedule_cpu` sequences its events in); ids beyond the
+    /// cluster are ignored.
     fn apply_faults(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let plan = self.cfg.fault_plan.clone();
+        let plan = &self.cfg.fault_plan;
         if plan.is_empty() {
             return;
         }
-        self.obs_inc("faults", "transitions", obs::Label::None);
         let active = plan.active_count(now);
+        let nodes: Vec<usize> = plan
+            .nodes_changing_at(now)
+            .iter()
+            .copied()
+            .take_while(|&node| node < self.cluster.cpus.len())
+            .collect();
+        self.obs_inc("faults", "transitions", obs::Label::None);
+        self.obs_add(
+            "faults",
+            "nodes_touched",
+            obs::Label::None,
+            nodes.len() as u64,
+        );
         self.obs_event(now, obs::Severity::Info, "faults", None, || {
             format!("fault-plan transition: {active} window(s) active")
         });
-        for node in 0..self.cluster.cpus.len() {
-            let cpu_f = plan.cpu_factor(now, node);
+        for &node in &nodes {
+            let plan = &self.cfg.fault_plan;
+            let (cpu_f, net_f, online) = (
+                plan.cpu_factor(now, node),
+                plan.net_factor(now, node),
+                !plan.offline(now, node),
+            );
             if (cpu_f - self.cluster.cpus[node].capacity_factor()).abs() > f64::EPSILON {
                 self.cluster.cpus[node].set_capacity_factor(now, cpu_f);
                 self.schedule_cpu(node, sched);
             }
-            let net_f = plan.net_factor(now, node);
             if (net_f - self.cluster.fabric.link_factor(NodeId(node))).abs() > f64::EPSILON {
                 self.cluster
                     .fabric
@@ -68,7 +88,6 @@ impl Driver {
             }
             // Membership is tracked separately from link factors so a
             // fault-degraded factor survives a leave/rejoin cycle.
-            let online = !plan.offline(now, node);
             if online != self.cluster.fabric.node_online(NodeId(node)) {
                 self.cluster
                     .fabric
@@ -79,10 +98,15 @@ impl Driver {
         // zero-byte requests; their completions are filtered in
         // `on_disk_tick` via `stall_reqs`.
         let window_end = now + SimSpan::from_nanos(1);
-        let storage: Vec<NodeId> = self.cluster.storage_ids().collect();
-        for server in storage {
-            let stalls: Vec<SimSpan> = plan
-                .disk_stalls_starting(now, window_end, server.0)
+        for &node in &nodes {
+            let server = NodeId(node);
+            if !self.cluster.is_storage(server) {
+                continue;
+            }
+            let stalls: Vec<SimSpan> = self
+                .cfg
+                .fault_plan
+                .disk_stalls_starting(now, window_end, node)
                 .map(|e| e.end - e.start)
                 .collect();
             let ordinal = self.cluster.storage_ordinal(server);

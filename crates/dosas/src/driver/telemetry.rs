@@ -114,8 +114,21 @@ impl Driver {
     /// Increment an observability counter (no-op when obs is disabled).
     #[inline]
     pub(super) fn obs_inc(&mut self, subsystem: &'static str, name: &'static str, label: Label) {
+        self.obs_add(subsystem, name, label, 1);
+    }
+
+    /// Increment an observability counter by `by` (no-op when obs is
+    /// disabled).
+    #[inline]
+    pub(super) fn obs_add(
+        &mut self,
+        subsystem: &'static str,
+        name: &'static str,
+        label: Label,
+        by: u64,
+    ) {
         if let Some(o) = self.telemetry.obs.as_mut() {
-            o.registry_mut().inc(subsystem, name, label);
+            o.registry_mut().add(subsystem, name, label, by);
         }
     }
 

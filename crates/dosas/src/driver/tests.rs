@@ -7,7 +7,7 @@ use crate::config::{DosasConfig, OpRates, Scheme};
 use crate::workload::{plain_reads, Workload};
 use kernels::sum::SumKernel;
 use kernels::{Kernel, KernelParams};
-use simkit::SimSpan;
+use simkit::{FaultKind, SimSpan};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -797,4 +797,65 @@ fn probe_only_dosas_still_converges() {
         "{} vs TS {ts}",
         m.makespan_secs
     );
+}
+
+#[test]
+fn fault_boundaries_touch_only_the_nodes_that_change() {
+    // A 4096-compute-node cluster with faults on its two storage nodes
+    // only: each boundary must visit the distinct nodes whose windows open
+    // or close there, never the whole cluster.
+    let mut cfg = det_config(Scheme::ActiveStorage);
+    cfg.cluster.compute_nodes = 4096;
+    cfg.cluster.storage_nodes = 2;
+    let (s0, s1) = (4096, 4097);
+    let at = SimTime::from_secs_f64;
+    let span = SimSpan::from_secs_f64;
+    cfg.fault_plan = FaultPlan::new()
+        .inject(
+            s0,
+            FaultKind::CpuSlowdown { factor: 0.5 },
+            at(0.05),
+            span(0.1),
+        )
+        // Same node, same start: still one visit at 0.05.
+        .inject(s0, FaultKind::DiskStall, at(0.05), span(0.02))
+        .inject(
+            s1,
+            FaultKind::NetBandwidthDip { factor: 0.5 },
+            at(0.05),
+            span(0.2),
+        )
+        // Starts where s0's slowdown ends and ends with s1's dip.
+        .inject(s1, FaultKind::ProbeLoss, at(0.15), span(0.1));
+    cfg.obs = obs::ObsConfig::enabled();
+    let w = Workload::uniform_active(2, 2, mb(16), "sum", KernelParams::default());
+    let m = Driver::run(cfg.clone(), &w);
+    let report = m.obs.as_ref().expect("obs enabled");
+    let counter = |name| {
+        report
+            .metrics
+            .counter_value("faults", name, obs::Label::None)
+    };
+
+    let times = cfg.fault_plan.transition_times();
+    let distinct: Vec<usize> = times
+        .iter()
+        .map(|&t| {
+            let on: std::collections::BTreeSet<usize> = cfg
+                .fault_plan
+                .events()
+                .iter()
+                .filter(|e| e.start == t || e.end == t)
+                .map(|e| e.node)
+                .collect();
+            on.len()
+        })
+        .collect();
+    assert_eq!(distinct, vec![2, 1, 2, 1]);
+    assert_eq!(counter("transitions"), times.len() as u64);
+    assert_eq!(
+        counter("nodes_touched"),
+        distinct.iter().sum::<usize>() as u64
+    );
+    assert_eq!(m.records.len(), w.rank_count());
 }

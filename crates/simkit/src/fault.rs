@@ -12,6 +12,7 @@
 
 use crate::{SimSpan, SimTime};
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// What goes wrong. Factors are multiplicative in `[0, 1]`; `1.0` is a
 /// no-op and `0.0` a full stall for the window.
@@ -55,9 +56,24 @@ impl FaultEvent {
 }
 
 /// A deterministic schedule of faults. See the module docs.
+///
+/// `events` is the source of truth; [`FaultPlan::inject`] keeps an index
+/// beside it so every query costs O(windows on the queried node) rather
+/// than O(plan), and a driver re-evaluating faults at a boundary visits
+/// only the nodes whose windows open or close there.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
+    /// Per-node indices into `events`, in plan order, so per-node folds
+    /// (factor products, `max` delays) run in the same order as a scan of
+    /// the whole plan and stay bit-identical to it.
+    by_node: BTreeMap<usize, Vec<usize>>,
+    /// Every window boundary → the ascending, distinct ids of the nodes
+    /// whose windows start or end there.
+    transitions: BTreeMap<SimTime, Vec<usize>>,
+    /// All window starts and all window ends, each sorted ascending.
+    starts: Vec<SimTime>,
+    ends: Vec<SimTime>,
 }
 
 impl FaultPlan {
@@ -80,11 +96,26 @@ impl FaultPlan {
             );
         }
         assert!(duration > SimSpan::ZERO, "fault window must be non-empty");
+        let end = start + duration;
+        self.by_node
+            .entry(node)
+            .or_default()
+            .push(self.events.len());
+        for t in [start, end] {
+            let nodes = self.transitions.entry(t).or_default();
+            if let Err(at) = nodes.binary_search(&node) {
+                nodes.insert(at, node);
+            }
+        }
+        let at = self.starts.partition_point(|&s| s <= start);
+        self.starts.insert(at, start);
+        let at = self.ends.partition_point(|&e| e <= end);
+        self.ends.insert(at, end);
         self.events.push(FaultEvent {
             node,
             kind,
             start,
-            end: start + duration,
+            end,
         });
         self
     }
@@ -115,11 +146,18 @@ impl FaultPlan {
         &self.events
     }
 
+    /// Every fault window on `node`, in plan order.
+    fn on_node(&self, node: usize) -> impl Iterator<Item = &FaultEvent> {
+        self.by_node
+            .get(&node)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.events[i])
+    }
+
     /// Faults afflicting `node` at `now`.
     pub fn active(&self, now: SimTime, node: usize) -> impl Iterator<Item = &FaultEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.node == node && e.active_at(now))
+        self.on_node(node).filter(move |e| e.active_at(now))
     }
 
     /// Fault windows on `node` overlapping the half-open interval
@@ -132,9 +170,8 @@ impl FaultPlan {
         end: SimTime,
         node: usize,
     ) -> impl Iterator<Item = &FaultEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.node == node && e.start < end && start < e.end)
+        self.on_node(node)
+            .filter(move |e| e.start < end && start < e.end)
     }
 
     /// Combined CPU capacity factor for `node` at `now` (product of active
@@ -199,27 +236,33 @@ impl FaultPlan {
         to: SimTime,
         node: usize,
     ) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| {
-            e.node == node
-                && matches!(e.kind, FaultKind::DiskStall | FaultKind::NodeLeave)
+        self.on_node(node).filter(move |e| {
+            matches!(e.kind, FaultKind::DiskStall | FaultKind::NodeLeave)
                 && from <= e.start
                 && e.start < to
         })
     }
 
-    /// Every window boundary, sorted and deduplicated: the times at which a
-    /// driver must re-evaluate fault effects.
     /// Number of fault windows (across all nodes) active at `now` — a cheap
-    /// gauge for observability sampling.
+    /// gauge for observability sampling. Every window has `start < end`, so
+    /// the windows with `end <= now` are a subset of those with
+    /// `start <= now` and the difference counts exactly the open ones.
     pub fn active_count(&self, now: SimTime) -> usize {
-        self.events.iter().filter(|e| e.active_at(now)).count()
+        self.starts.partition_point(|&s| s <= now) - self.ends.partition_point(|&e| e <= now)
     }
 
+    /// Every window boundary, sorted and deduplicated: the times at which a
+    /// driver must re-evaluate fault effects.
     pub fn transition_times(&self) -> Vec<SimTime> {
-        let mut times: Vec<SimTime> = self.events.iter().flat_map(|e| [e.start, e.end]).collect();
-        times.sort();
-        times.dedup();
-        times
+        self.transitions.keys().copied().collect()
+    }
+
+    /// The ascending, distinct ids of the nodes with a window starting or
+    /// ending exactly at `t` (empty off the boundaries). Between two of its
+    /// own boundaries a node's fault state is constant, so these are the
+    /// only nodes whose effects can change at `t`.
+    pub fn nodes_changing_at(&self, t: SimTime) -> &[usize] {
+        self.transitions.get(&t).map_or(&[], Vec::as_slice)
     }
 
     /// A seeded random storm: over `[start, start + horizon)`, each listed
@@ -438,5 +481,205 @@ mod tests {
         assert_eq!(plan.cpu_factor(secs(2.0), 0), 0.0);
         assert_eq!(plan.net_factor(secs(2.0), 0), 0.0);
         assert_eq!(plan.cpu_factor(secs(4.0), 0), 1.0);
+    }
+
+    #[test]
+    fn nodes_changing_at_lists_distinct_nodes_in_id_order() {
+        let plan = FaultPlan::new()
+            .inject(7, FaultKind::DiskStall, secs(1.0), span(1.0))
+            .inject(2, FaultKind::ProbeLoss, secs(1.0), span(3.0))
+            .inject(7, FaultKind::ProbeLoss, secs(1.0), span(1.0));
+        assert_eq!(plan.nodes_changing_at(secs(1.0)), &[2, 7]);
+        assert_eq!(plan.nodes_changing_at(secs(2.0)), &[7]);
+        assert_eq!(plan.nodes_changing_at(secs(4.0)), &[2]);
+        assert!(plan.nodes_changing_at(secs(3.0)).is_empty());
+        assert_eq!(plan.active_count(secs(1.5)), 3);
+        assert_eq!(plan.active_count(secs(2.0)), 1);
+    }
+
+    /// The linear scans the index replaced, kept as the reference the
+    /// indexed queries must reproduce exactly.
+    struct Scan<'a>(&'a [FaultEvent]);
+
+    impl Scan<'_> {
+        fn active(&self, now: SimTime, node: usize) -> impl Iterator<Item = &FaultEvent> {
+            self.0
+                .iter()
+                .filter(move |e| e.node == node && e.active_at(now))
+        }
+
+        fn overlapping(&self, start: SimTime, end: SimTime, node: usize) -> Vec<*const FaultEvent> {
+            self.0
+                .iter()
+                .filter(|e| e.node == node && e.start < end && start < e.end)
+                .map(|e| e as *const _)
+                .collect()
+        }
+
+        fn cpu_factor(&self, now: SimTime, node: usize) -> f64 {
+            self.active(now, node)
+                .filter_map(|e| match e.kind {
+                    FaultKind::CpuSlowdown { factor } => Some(factor),
+                    FaultKind::NodeLeave => Some(0.0),
+                    _ => None,
+                })
+                .product()
+        }
+
+        fn offline(&self, now: SimTime, node: usize) -> bool {
+            self.active(now, node)
+                .any(|e| e.kind == FaultKind::NodeLeave)
+        }
+
+        fn net_factor(&self, now: SimTime, node: usize) -> f64 {
+            self.active(now, node)
+                .filter_map(|e| match e.kind {
+                    FaultKind::NetBandwidthDip { factor } => Some(factor),
+                    _ => None,
+                })
+                .product()
+        }
+
+        fn probe_lost(&self, now: SimTime, node: usize) -> bool {
+            self.active(now, node)
+                .any(|e| matches!(e.kind, FaultKind::ProbeLoss | FaultKind::NodeLeave))
+        }
+
+        fn probe_delay(&self, now: SimTime, node: usize) -> Option<SimSpan> {
+            self.active(now, node)
+                .filter_map(|e| match e.kind {
+                    FaultKind::ProbeDelay { delay } => Some(delay),
+                    _ => None,
+                })
+                .max()
+        }
+
+        fn checkpoint_ship_fails(&self, now: SimTime, node: usize) -> bool {
+            self.active(now, node)
+                .any(|e| e.kind == FaultKind::CheckpointShipFailure)
+        }
+
+        fn disk_stalls_starting(
+            &self,
+            from: SimTime,
+            to: SimTime,
+            node: usize,
+        ) -> Vec<*const FaultEvent> {
+            self.0
+                .iter()
+                .filter(|e| {
+                    e.node == node
+                        && matches!(e.kind, FaultKind::DiskStall | FaultKind::NodeLeave)
+                        && from <= e.start
+                        && e.start < to
+                })
+                .map(|e| e as *const _)
+                .collect()
+        }
+
+        fn active_count(&self, now: SimTime) -> usize {
+            self.0.iter().filter(|e| e.active_at(now)).count()
+        }
+
+        fn transition_times(&self) -> Vec<SimTime> {
+            let mut times: Vec<SimTime> = self.0.iter().flat_map(|e| [e.start, e.end]).collect();
+            times.sort();
+            times.dedup();
+            times
+        }
+
+        fn nodes_changing_at(&self, t: SimTime) -> Vec<usize> {
+            let mut nodes: Vec<usize> = self
+                .0
+                .iter()
+                .filter(|e| e.start == t || e.end == t)
+                .map(|e| e.node)
+                .collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Node ids drawn for plans and queries: a few small ids that
+        /// collide often, plus ids far beyond any cluster.
+        const NODES: [usize; 6] = [0, 1, 2, 3, 70_000, usize::MAX];
+
+        fn kind(k: u8, x: f64) -> FaultKind {
+            match k {
+                0 => FaultKind::CpuSlowdown { factor: x },
+                1 => FaultKind::DiskStall,
+                2 => FaultKind::NetBandwidthDip { factor: x },
+                3 => FaultKind::ProbeLoss,
+                4 => FaultKind::ProbeDelay {
+                    delay: SimSpan::from_nanos((x * 5.0) as u64 + 1),
+                },
+                5 => FaultKind::CheckpointShipFailure,
+                _ => FaultKind::NodeLeave,
+            }
+        }
+
+        /// Every indexed query agrees with the linear scan: factor products
+        /// bit for bit, iterators element for element in plan order. Times
+        /// sit on a coarse nanosecond grid so windows overlap on one node
+        /// and queries land exactly on starts and ends.
+        #[test]
+        fn indexed_queries_match_linear_scan() {
+            proptest!(|(windows in proptest::collection::vec(
+                            (0usize..6, 0u8..7, 0.0f64..=1.0, 0u64..20, 1u64..8), 0..24))| {
+                let mut plan = FaultPlan::new();
+                for &(n, k, x, start, dur) in &windows {
+                    plan = plan.inject(
+                        NODES[n],
+                        kind(k, x),
+                        SimTime::from_nanos(start),
+                        SimSpan::from_nanos(dur),
+                    );
+                }
+                let scan = Scan(plan.events());
+                prop_assert_eq!(plan.transition_times(), scan.transition_times());
+                let at = SimTime::from_nanos;
+                let ptrs = |it: &mut dyn Iterator<Item = &FaultEvent>| {
+                    it.map(|e| e as *const FaultEvent).collect::<Vec<_>>()
+                };
+                for t in 0..30 {
+                    let now = at(t);
+                    prop_assert_eq!(plan.active_count(now), scan.active_count(now));
+                    prop_assert_eq!(plan.nodes_changing_at(now), scan.nodes_changing_at(now));
+                    for node in NODES.into_iter().chain([4, 1 << 40]) {
+                        prop_assert_eq!(
+                            plan.cpu_factor(now, node).to_bits(),
+                            scan.cpu_factor(now, node).to_bits()
+                        );
+                        prop_assert_eq!(
+                            plan.net_factor(now, node).to_bits(),
+                            scan.net_factor(now, node).to_bits()
+                        );
+                        prop_assert_eq!(plan.offline(now, node), scan.offline(now, node));
+                        prop_assert_eq!(plan.probe_lost(now, node), scan.probe_lost(now, node));
+                        prop_assert_eq!(plan.probe_delay(now, node), scan.probe_delay(now, node));
+                        prop_assert_eq!(
+                            plan.checkpoint_ship_fails(now, node),
+                            scan.checkpoint_ship_fails(now, node)
+                        );
+                        for len in [1, 3, 9] {
+                            let end = at(t + len);
+                            prop_assert_eq!(
+                                ptrs(&mut plan.overlapping(now, end, node)),
+                                scan.overlapping(now, end, node)
+                            );
+                            prop_assert_eq!(
+                                ptrs(&mut plan.disk_stalls_starting(now, end, node)),
+                                scan.disk_stalls_starting(now, end, node)
+                            );
+                        }
+                    }
+                }
+            });
+        }
     }
 }

@@ -56,6 +56,13 @@ cargo test -q -p dosas --lib solvers_cross_check_to_k16
 cargo test -q -p simkit --lib coalesced_fill_matches_eager_fill
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
+# Per-event cost independent of cluster size (DESIGN.md §6, §15): the
+# indexed fault plan must answer every query exactly like a linear scan of
+# the plan, a fault boundary must visit only the nodes that change there,
+# and a fill on a 10k-host star must leave its persistent scratch reset.
+cargo test -q -p simkit --lib indexed_queries_match_linear_scan
+cargo test -q -p dosas --lib fault_boundaries_touch_only_the_nodes_that_change
+cargo test -q -p cluster --lib sparse_fill_scratch_stays_identity_on_a_10k_host_star
 # Topology gate (DESIGN.md §15): the star builder must reproduce the legacy
 # single-switch fill bit-for-bit (so every pre-topology golden stays
 # byte-identical), the fat-tree graph fill must match a full rescan, the
