@@ -178,6 +178,7 @@ pub fn incremental_counters(p: &TopoPoint, ticks: usize) -> NetFillCounters {
         fills: after.fills - before.fills,
         flows_refilled: after.flows_refilled - before.flows_refilled,
         flows_reused: after.flows_reused - before.flows_reused,
+        flows_walked: after.flows_walked - before.flows_walked,
     }
 }
 

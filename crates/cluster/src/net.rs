@@ -30,8 +30,17 @@
 //! A debug assertion cross-checks every incremental fill against a
 //! from-scratch fill of all components.
 //!
+//! State is slot- and link-indexed so that cost follows the dirty
+//! components, not the flow count: flows live in a slab (slots are reused,
+//! so slot order is not [`FlowId`] order), every link keeps the slots of
+//! the flows crossing it in ascending `FlowId` order, and a fill finds its
+//! components by walking from the dirty links — link → listed flows →
+//! their route links. Per-node utilization sums the node's tx or rx list.
+//! A `FlowId → slot` map serves API lookups and the `FlowId`-ordered full
+//! walks (FullRescan and the debug oracle).
+//!
 //! Completion queries are O(log n): each fill pushes projected completion
-//! times into a min-heap of `(time, generation, id)` entries; entries
+//! times into a min-heap of `(time, generation, slot)` entries; entries
 //! superseded by a newer fill or orphaned by flow removal are lazily
 //! discarded at the heap top.
 //!
@@ -48,7 +57,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use simkit::{SimSpan, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Identifies a flow within the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,6 +65,7 @@ pub struct FlowId(pub u64);
 
 #[derive(Debug, Clone)]
 struct Flow {
+    id: FlowId,
     src: NodeId,
     dst: NodeId,
     remaining: f64,
@@ -124,6 +134,11 @@ pub struct NetFillCounters {
     /// Flows whose previous rate was reused because their component was
     /// untouched.
     pub flows_reused: u64,
+    /// Flows visited by the incremental fill's component walk. Equals
+    /// `flows_refilled` in [`FillMode::Incremental`] (each dirty component
+    /// is walked once); a larger value would mean the walk strayed beyond
+    /// the dirty components.
+    pub flows_walked: u64,
 }
 
 /// The cluster interconnect.
@@ -151,7 +166,14 @@ pub struct Fabric {
     latency: SimSpan,
     jitter: Option<(f64, f64)>,
     rng: ChaCha8Rng,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Flow slab; `None` marks a free slot, listed in `free_slots`.
+    flows: Vec<Option<Flow>>,
+    free_slots: Vec<usize>,
+    /// Live flow → slot, for API lookups and `FlowId`-ordered full walks.
+    index: BTreeMap<FlowId, usize>,
+    /// Slots of the flows crossing each link, in ascending `FlowId` order
+    /// (indexed like the fill scratch: every link id plus the spare).
+    link_flows: Vec<Vec<usize>>,
     last_update: SimTime,
     epoch: u64,
     next_id: u64,
@@ -159,13 +181,13 @@ pub struct Fabric {
     /// True when a mutation has invalidated `rate` fields and the heap.
     dirty: bool,
     /// Link ids touched since the last fill (tx n → 2n, rx n → 2n+1,
-    /// interior/switch ≥ 2·hosts). Bounds the incremental pass to their
-    /// components.
-    dirty_links: BTreeSet<usize>,
-    /// Min-heap of projected completions `(done_at, generation, id)`.
+    /// interior/switch ≥ 2·hosts), possibly repeated. Bounds the
+    /// incremental pass to their components.
+    dirty_links: Vec<usize>,
+    /// Min-heap of projected completions `(done_at, generation, slot)`.
     /// `done_at` is invariant under [`advance`](Fabric::advance) at constant
     /// rates, so entries stay valid until a fill supersedes them.
-    heap: BinaryHeap<Reverse<(SimTime, u64, FlowId)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     next_gen: u64,
     fill_mode: FillMode,
     counters: NetFillCounters,
@@ -176,11 +198,18 @@ pub struct Fabric {
 
 /// Persistent, link-indexed fill scratch, sized once to every link id
 /// plus one spare slot for the star's (possibly uncapped, hence
-/// routeless) switch core id `2·hosts`.
+/// routeless) switch core id `2·hosts`. Nothing in it needs resetting
+/// between fills.
 #[derive(Debug, Clone, Default)]
 struct FillScratch {
-    /// Component union-find over link ids; the identity between fills.
-    uf: UnionFind,
+    /// Component-walk visit stamps: a link or flow slot was visited by the
+    /// current walk iff its entry equals `stamp`, which every walk bumps.
+    stamp: u64,
+    link_seen: Vec<u64>,
+    /// Indexed by flow slot; grows with the slab.
+    flow_seen: Vec<u64>,
+    /// The walk's pending links.
+    stack: Vec<usize>,
     /// Per-round residual capacity and unfrozen-flow count of each link.
     /// Only entries of links touched by the current fill are meaningful:
     /// each round rewrites all of them before reading any, so stale
@@ -190,13 +219,14 @@ struct FillScratch {
 }
 
 impl FillScratch {
-    fn new(slots: usize) -> Self {
+    fn new(links: usize) -> Self {
         FillScratch {
-            uf: UnionFind {
-                parent: (0..slots).collect(),
-            },
-            res: vec![0.0; slots],
-            cnt: vec![0; slots],
+            stamp: 0,
+            link_seen: vec![0; links],
+            flow_seen: Vec::new(),
+            stack: Vec::new(),
+            res: vec![0.0; links],
+            cnt: vec![0; links],
         }
     }
 }
@@ -264,7 +294,8 @@ impl Fabric {
             link_capacity[2 * hosts + i] = link_bw * scale;
         }
         let switch_slot = switch_capacity.is_some().then_some(2 * hosts);
-        let scratch = FillScratch::new(topo.num_links() + 1);
+        let links = topo.num_links() + 1;
+        let scratch = FillScratch::new(links);
         Fabric {
             topo,
             link_capacity,
@@ -275,13 +306,16 @@ impl Fabric {
             latency,
             jitter,
             rng,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            free_slots: Vec::new(),
+            index: BTreeMap::new(),
+            link_flows: vec![Vec::new(); links],
             last_update: SimTime::ZERO,
             epoch: 0,
             next_id: 0,
             bytes_delivered: 0.0,
             dirty: false,
-            dirty_links: BTreeSet::new(),
+            dirty_links: Vec::new(),
             heap: BinaryHeap::new(),
             next_gen: 0,
             fill_mode: FillMode::default(),
@@ -301,7 +335,7 @@ impl Fabric {
     }
 
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// Total bytes delivered by completed flows.
@@ -353,8 +387,8 @@ impl Fabric {
         if (factor - self.link_factor[n.0]).abs() > f64::EPSILON {
             self.advance(now);
             self.link_factor[n.0] = factor;
-            self.dirty_links.insert(Self::tx_link(n.0));
-            self.dirty_links.insert(Self::rx_link(n.0));
+            self.dirty_links
+                .extend([Self::tx_link(n.0), Self::rx_link(n.0)]);
             self.bump();
         }
     }
@@ -375,8 +409,8 @@ impl Fabric {
         if self.online[n.0] != online {
             self.advance(now);
             self.online[n.0] = online;
-            self.dirty_links.insert(Self::tx_link(n.0));
-            self.dirty_links.insert(Self::rx_link(n.0));
+            self.dirty_links
+                .extend([Self::tx_link(n.0), Self::rx_link(n.0)]);
             self.bump();
         }
     }
@@ -418,9 +452,50 @@ impl Fabric {
     /// Mark every link of a route dirty (the flow's component must be
     /// refilled).
     fn mark_route_dirty(&mut self, route: &[u32]) {
-        for &link in route {
-            self.dirty_links.insert(link as usize);
+        self.dirty_links.extend(route.iter().map(|&l| l as usize));
+    }
+
+    /// The live flow in `slot`.
+    fn live(&self, slot: usize) -> &Flow {
+        self.flows[slot].as_ref().expect("listed slot is live")
+    }
+
+    /// The live flow `id`, if any.
+    fn flow(&self, id: FlowId) -> Option<&Flow> {
+        self.index.get(&id).map(|&slot| self.live(slot))
+    }
+
+    /// Place `flow` in a free slot and list it on its route's links. Its id
+    /// is the largest yet issued, so appending keeps each list ascending.
+    fn insert_flow(&mut self, flow: Flow) {
+        let slot = self.free_slots.pop().unwrap_or(self.flows.len());
+        for &link in &flow.route {
+            self.link_flows[link as usize].push(slot);
         }
+        self.index.insert(flow.id, slot);
+        if slot == self.flows.len() {
+            self.flows.push(Some(flow));
+        } else {
+            self.flows[slot] = Some(flow);
+        }
+    }
+
+    /// Unlist and free the flow in `slot`, marking its route dirty.
+    fn remove_flow(&mut self, slot: usize) -> Flow {
+        let flows = &self.flows;
+        let f = flows[slot].as_ref().expect("live slot");
+        for &link in &f.route {
+            let list = &mut self.link_flows[link as usize];
+            let pos = list
+                .binary_search_by_key(&f.id, |&s| flows[s].as_ref().expect("listed slot").id)
+                .expect("flow is listed on its route");
+            list.remove(pos);
+        }
+        let f = self.flows[slot].take().expect("live slot");
+        self.free_slots.push(slot);
+        self.index.remove(&f.id);
+        self.mark_route_dirty(&f.route);
+        f
     }
 
     /// Start a transfer of `bytes` from `src` to `dst`.
@@ -444,20 +519,18 @@ impl Fabric {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.mark_route_dirty(&route);
-        self.flows.insert(
+        self.insert_flow(Flow {
             id,
-            Flow {
-                src,
-                dst,
-                remaining: bytes,
-                total: bytes,
-                rate: 0.0,
-                cap,
-                policy_cap: f64::INFINITY,
-                gen: u64::MAX,
-                route,
-            },
-        );
+            src,
+            dst,
+            remaining: bytes,
+            total: bytes,
+            rate: 0.0,
+            cap,
+            policy_cap: f64::INFINITY,
+            gen: u64::MAX,
+            route,
+        });
         self.bump();
         id
     }
@@ -473,31 +546,30 @@ impl Fabric {
             cap > 0.0,
             "flow caps must be positive ({cap}); a zero cap would stall forever"
         );
-        let Some(f) = self.flows.get(&id) else {
+        let Some(&slot) = self.index.get(&id) else {
             return false;
         };
-        if f.policy_cap == cap {
+        if self.live(slot).policy_cap == cap {
             return true;
         }
         self.advance(now);
-        let f = self.flows.get_mut(&id).expect("flow checked above");
+        let f = self.flows[slot].as_mut().expect("flow checked above");
         f.policy_cap = cap;
-        let route = f.route.clone();
-        self.mark_route_dirty(&route);
+        self.dirty_links.extend(f.route.iter().map(|&l| l as usize));
         self.bump();
         true
     }
 
     /// Current external rate cap of flow `id` (`f64::INFINITY` = uncapped).
     pub fn flow_cap(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.policy_cap)
+        self.flow(id).map(|f| f.policy_cap)
     }
 
     /// Cancel an in-flight transfer (e.g. its request was re-planned).
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<CancelledFlow> {
         self.advance(now);
-        let f = self.flows.remove(&id)?;
-        self.mark_route_dirty(&f.route);
+        let &slot = self.index.get(&id)?;
+        let f = self.remove_flow(slot);
         self.bump();
         let progress = if f.total > 0.0 {
             ((f.total - f.remaining) / f.total).clamp(0.0, 1.0)
@@ -521,7 +593,7 @@ impl Fabric {
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
             self.ensure_rates();
-            for f in self.flows.values_mut() {
+            for f in self.flows.iter_mut().flatten() {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
         }
@@ -537,8 +609,8 @@ impl Fabric {
         if self.fill_mode == FillMode::FullRescan {
             return self.next_completion_scan();
         }
-        while let Some(&Reverse((t, gen, id))) = self.heap.peek() {
-            match self.flows.get(&id) {
+        while let Some(&Reverse((t, gen, slot))) = self.heap.peek() {
+            match &self.flows[slot] {
                 Some(f) if f.gen == gen => return Some(t),
                 _ => {
                     self.heap.pop();
@@ -551,7 +623,7 @@ impl Fabric {
     /// Pre-incremental linear completion scan (FullRescan mode).
     fn next_completion_scan(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
-        for f in self.flows.values() {
+        for f in self.flows.iter().flatten() {
             if f.rate > 0.0 {
                 let dt = f.remaining / f.rate;
                 best = Some(best.map_or(dt, |b: f64| b.min(dt)));
@@ -562,21 +634,27 @@ impl Fabric {
         best.map(|dt| self.last_update + SimSpan::from_secs_f64(dt))
     }
 
-    /// Advance to `now` and collect finished flows.
+    /// Advance to `now` and collect finished flows, in ascending `FlowId`.
     pub fn take_completed(&mut self, now: SimTime) -> Vec<FlowCompletion> {
         self.advance(now);
         self.ensure_rates();
-        let done: Vec<FlowId> = self
+        let mut done: Vec<(FlowId, usize)> = self
             .flows
             .iter()
-            .filter(|(_, f)| f.remaining <= f.rate * 0.5e-9 || f.remaining <= 0.0)
-            .map(|(&id, _)| id)
+            .enumerate()
+            .filter_map(|(slot, f)| {
+                f.as_ref()
+                    .filter(|f| f.remaining <= f.rate * 0.5e-9 || f.remaining <= 0.0)
+                    .map(|f| (f.id, slot))
+            })
             .collect();
+        // Ascending FlowId keeps the completion order and the summation
+        // order of `bytes_delivered` independent of slot reuse.
+        done.sort_unstable();
         let mut out = Vec::with_capacity(done.len());
-        for id in done {
-            let f = self.flows.remove(&id).expect("listed flow exists");
+        for (id, slot) in done {
+            let f = self.remove_flow(slot);
             self.bytes_delivered += f.total;
-            self.mark_route_dirty(&f.route);
             out.push(FlowCompletion {
                 id,
                 src: f.src,
@@ -593,7 +671,7 @@ impl Fabric {
     /// Current rate of flow `id` (bytes/second).
     pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.flows.get(&id).map(|f| f.rate)
+        self.flow(id).map(|f| f.rate)
     }
 
     /// Observable outbound state of node `n`: aggregate flow rate
@@ -603,15 +681,22 @@ impl Fabric {
     /// achievable bandwidth.
     pub fn tx_observation(&mut self, n: NodeId) -> (f64, usize) {
         self.ensure_rates();
+        let list = &self.link_flows[Self::tx_link(n.0)];
         let mut rate = 0.0;
-        let mut count = 0;
-        for f in self.flows.values() {
-            if f.src == n {
-                rate += f.rate;
-                count += 1;
-            }
+        for &slot in list {
+            rate += self.live(slot).rate;
         }
-        (rate, count)
+        (rate, list.len())
+    }
+
+    /// Sum of the rates of the flows crossing `link`, in ascending
+    /// `FlowId` (a node's tx list holds exactly its outbound flows, its rx
+    /// list exactly its inbound ones).
+    fn link_rate_sum(&self, link: usize) -> f64 {
+        self.link_flows[link]
+            .iter()
+            .map(|&slot| self.live(slot).rate)
+            .sum()
     }
 
     /// Utilization of node `n`'s transmit link, `[0, 1]`. The `+ 0.0`
@@ -624,12 +709,7 @@ impl Fabric {
         if eff <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| f.src == n)
-            .map(|f| f.rate)
-            .sum();
+        let used = self.link_rate_sum(Self::tx_link(n.0));
         (used / eff).clamp(0.0, 1.0) + 0.0
     }
 
@@ -641,12 +721,7 @@ impl Fabric {
         if eff <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| f.dst == n)
-            .map(|f| f.rate)
-            .sum();
+        let used = self.link_rate_sum(Self::rx_link(n.0));
         (used / eff).clamp(0.0, 1.0) + 0.0
     }
 
@@ -671,93 +746,103 @@ impl Fabric {
         self.counters.fills += 1;
         if self.fill_mode == FillMode::FullRescan {
             self.dirty_links.clear();
-            let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-            self.counters.flows_refilled += ids.len() as u64;
-            let rates = self.fill(&ids);
-            for (id, rate) in rates {
-                self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
-            }
+            let slots: Vec<usize> = self.index.values().copied().collect();
+            self.counters.flows_refilled += slots.len() as u64;
+            self.fill(&slots);
             return;
         }
 
-        // Union links into components via the current flow set; a component
-        // needs refilling iff it contains a dirtied link.
-        let uf = &mut self.scratch.uf;
-        let mut route_links = 0;
-        for f in self.flows.values() {
-            route_links += f.route.len();
-            let first = f.route[0] as usize;
-            for &link in &f.route {
-                uf.union(first, link as usize);
-            }
-        }
-        let dirty_roots: BTreeSet<usize> = self.dirty_links.iter().map(|&l| uf.find(l)).collect();
-        self.dirty_links.clear();
-
-        let refill: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| dirty_roots.contains(&uf.find(f.route[0] as usize)))
-            .map(|(&id, _)| id)
-            .collect();
-        // Back to the identity. Union and path halving only write parents
-        // of links on live routes (a root is always such a link, and a
-        // dirty link on no live route is its own root), so resetting those
-        // restores every entry. When the live routes name more links than
-        // the topology has, one dense pass over the links is cheaper.
-        if route_links < uf.parent.len() {
-            for f in self.flows.values() {
-                for &link in &f.route {
-                    uf.parent[link as usize] = link as usize;
-                }
-            }
-        } else {
-            for (link, parent) in uf.parent.iter_mut().enumerate() {
-                *parent = link;
-            }
-        }
-        debug_assert!(uf.is_identity(), "fill left the union-find scratch dirty");
+        let refill = self.dirty_components();
         self.counters.flows_refilled += refill.len() as u64;
-        self.counters.flows_reused += (self.flows.len() - refill.len()) as u64;
-
-        let rates = self.fill(&refill);
-        for (id, rate) in rates {
-            self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
-        }
+        self.counters.flows_reused += (self.index.len() - refill.len()) as u64;
+        self.fill(&refill);
         self.refresh_heap(&refill);
 
         // Oracle: the incremental result must be bit-identical to deriving
         // every component from scratch.
         #[cfg(debug_assertions)]
         {
-            let all: Vec<FlowId> = self.flows.keys().copied().collect();
-            for (id, rate) in self.fill(&all) {
-                let kept = self.flows[&id].rate;
+            let all: Vec<usize> = self.index.values().copied().collect();
+            for (slot, rate) in all.iter().copied().zip(self.rates_for(&all)) {
+                let f = self.live(slot);
                 debug_assert_eq!(
-                    kept.to_bits(),
+                    f.rate.to_bits(),
                     rate.to_bits(),
-                    "incremental fill diverged from scratch fill for {id:?}: \
-                     kept {kept}, scratch {rate}"
+                    "incremental fill diverged from scratch fill for {:?}: \
+                     kept {}, scratch {rate}",
+                    f.id,
+                    f.rate
                 );
             }
         }
     }
 
-    /// Push fresh completion projections for `refilled` flows; entries of
-    /// untouched flows remain valid because their rates did not change.
-    fn refresh_heap(&mut self, refilled: &[FlowId]) {
+    /// Slots of every flow in a component holding a dirty link, in
+    /// ascending `FlowId`, and clears the dirty set. Walks from each dirty
+    /// link to the flows listed on it and on to their route links, so the
+    /// cost is the size of the dirty components; a dirty link no flow
+    /// crosses contributes nothing. Counts every visited flow in
+    /// `flows_walked`.
+    fn dirty_components(&mut self) -> Vec<usize> {
+        let Fabric {
+            flows,
+            link_flows,
+            dirty_links,
+            scratch: s,
+            counters,
+            ..
+        } = self;
+        s.stamp += 1;
+        let stamp = s.stamp;
+        if s.flow_seen.len() < flows.len() {
+            s.flow_seen.resize(flows.len(), 0);
+        }
+        let mut found: Vec<(FlowId, usize)> = Vec::new();
+        for link in dirty_links.drain(..) {
+            if s.link_seen[link] != stamp {
+                s.link_seen[link] = stamp;
+                s.stack.push(link);
+            }
+        }
+        while let Some(link) = s.stack.pop() {
+            for &slot in &link_flows[link] {
+                if s.flow_seen[slot] == stamp {
+                    continue;
+                }
+                s.flow_seen[slot] = stamp;
+                counters.flows_walked += 1;
+                let f = flows[slot].as_ref().expect("listed slot is live");
+                found.push((f.id, slot));
+                for &l in &f.route {
+                    let l = l as usize;
+                    if s.link_seen[l] != stamp {
+                        s.link_seen[l] = stamp;
+                        s.stack.push(l);
+                    }
+                }
+            }
+        }
+        found.sort_unstable();
+        found.into_iter().map(|(_, slot)| slot).collect()
+    }
+
+    /// Push fresh completion projections for `refilled` flow slots; entries
+    /// of untouched flows remain valid because their rates did not change.
+    fn refresh_heap(&mut self, refilled: &[usize]) {
         // Compact when stale entries dominate, keeping pops O(log live).
-        if self.heap.len() > 2 * self.flows.len() + 64 {
+        if self.heap.len() > 2 * self.index.len() + 64 {
             let flows = &self.flows;
             let kept: Vec<_> = self
                 .heap
                 .drain()
-                .filter(|Reverse((_, gen, id))| flows.get(id).is_some_and(|f| f.gen == *gen))
+                .filter(|Reverse((_, gen, slot))| {
+                    flows[*slot].as_ref().is_some_and(|f| f.gen == *gen)
+                })
                 .collect();
             self.heap = BinaryHeap::from(kept);
         }
-        for &id in refilled {
-            let f = self.flows.get_mut(&id).expect("refilled flow exists");
+        for &slot in refilled {
+            let f = self.flows[slot].as_mut().expect("refilled slot is live");
             let done_at = if f.rate > 0.0 {
                 Some(self.last_update + SimSpan::from_secs_f64(f.remaining / f.rate))
             } else if f.remaining <= 0.0 {
@@ -767,7 +852,7 @@ impl Fabric {
             };
             if let Some(t) = done_at {
                 f.gen = self.next_gen;
-                self.heap.push(Reverse((t, self.next_gen, id)));
+                self.heap.push(Reverse((t, self.next_gen, slot)));
                 self.next_gen += 1;
             } else {
                 f.gen = u64::MAX;
@@ -776,19 +861,27 @@ impl Fabric {
     }
 
     /// [`fill_subset`](Self::fill_subset) over the fabric's own scratch.
-    fn fill(&mut self, ids: &[FlowId]) -> Vec<(FlowId, f64)> {
+    fn rates_for(&mut self, slots: &[usize]) -> Vec<f64> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let rates = self.fill_subset(ids, &mut scratch);
+        let rates = self.fill_subset(slots, &mut scratch);
         self.scratch = scratch;
         rates
     }
 
-    /// Progressive filling restricted to `ids`: grow all unfrozen flows at
-    /// one common rate until a link or cap binds; freeze; repeat. Correct as
-    /// long as `ids` is a union of whole components — flows outside `ids`
-    /// then share no link with flows inside, so the restricted residuals
-    /// equal the global ones. Pure apart from `scratch`: returns the rates
-    /// without applying them.
+    /// Fill the flows in `slots` (ascending `FlowId`) and apply the rates.
+    fn fill(&mut self, slots: &[usize]) {
+        for (&slot, rate) in slots.iter().zip(self.rates_for(slots)) {
+            self.flows[slot].as_mut().expect("filled slot is live").rate = rate;
+        }
+    }
+
+    /// Progressive filling restricted to the flows in `slots`, which must
+    /// be in ascending `FlowId`: grow all unfrozen flows at one common rate
+    /// until a link or cap binds; freeze; repeat. Correct as long as
+    /// `slots` is a union of whole components — flows outside then share no
+    /// link with flows inside, so the restricted residuals equal the global
+    /// ones. Pure apart from `scratch`: returns the rates, position for
+    /// position, without applying them.
     ///
     /// Hot path: components reach 10⁵ flows on the large fat-tree points,
     /// so per-round state lives in dense link-indexed arrays (the
@@ -798,14 +891,16 @@ impl Fabric {
     /// ascending `FlowId`, the growth limit folds links in ascending link
     /// id — so the result is bitwise identical (the debug oracle and the
     /// star proptests pin this).
-    fn fill_subset(&self, ids: &[FlowId], scratch: &mut FillScratch) -> Vec<(FlowId, f64)> {
-        if ids.is_empty() {
+    fn fill_subset(&self, slots: &[usize], scratch: &mut FillScratch) -> Vec<f64> {
+        if slots.is_empty() {
             return Vec::new();
         }
-        // Ascending FlowId, so position order == FlowId order below.
-        let mut sorted: Vec<FlowId> = ids.to_vec();
-        sorted.sort_unstable();
-        let flows: Vec<&Flow> = sorted.iter().map(|id| &self.flows[id]).collect();
+        // Position order == FlowId order below.
+        let flows: Vec<&Flow> = slots.iter().map(|&slot| self.live(slot)).collect();
+        debug_assert!(
+            flows.windows(2).all(|w| w[0].id < w[1].id),
+            "fill_subset needs ascending FlowId"
+        );
         let caps: Vec<f64> = flows.iter().map(|f| f.eff_cap()).collect();
         let mut touched: Vec<usize> = flows
             .iter()
@@ -815,7 +910,7 @@ impl Fabric {
         touched.dedup();
         let (res, cnt) = (&mut scratch.res[..], &mut scratch.cnt[..]);
 
-        let n = sorted.len();
+        let n = flows.len();
         let mut frozen_rate: Vec<Option<f64>> = vec![None; n];
         let mut unfrozen: Vec<usize> = (0..n).collect();
 
@@ -878,40 +973,10 @@ impl Fabric {
             unfrozen.retain(|&i| frozen_rate[i].is_none());
         }
 
-        sorted
+        frozen_rate
             .into_iter()
-            .zip(frozen_rate)
-            .map(|(id, rate)| (id, rate.expect("all flows frozen")))
+            .map(|rate| rate.expect("all flows frozen"))
             .collect()
-    }
-}
-
-/// Minimal deterministic union-find with path halving.
-#[derive(Debug, Clone, Default)]
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn is_identity(&self) -> bool {
-        self.parent.iter().enumerate().all(|(i, &p)| i == p)
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Deterministic orientation: smaller root wins.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
     }
 }
 
@@ -1103,7 +1168,7 @@ mod tests {
         f.advance(SimTime::from_secs_f64(9.0));
         // 100 bytes were left at the stall (t=1): 200 - 100·1s/2 flows...
         // flows split rx(1) before the stall: stalled ran at 50 for 1s.
-        assert!((f.flows[&stalled].remaining - 150.0).abs() < 1e-9);
+        assert!((f.flow(stalled).unwrap().remaining - 150.0).abs() < 1e-9);
         // Restore: 150 bytes at 100 B/s from t=9 → done at 10.5.
         f.set_link_factor(SimTime::from_secs_f64(9.0), n(0), 1.0);
         let t = f.next_completion().unwrap();
@@ -1248,22 +1313,40 @@ mod tests {
         assert_eq!(inc.fill_counters().fills, 1);
     }
 
-    /// A 10k-host star carrying only 1–3 flows at a time: every fill must
-    /// leave the persistent union-find scratch as the identity (it is reset
-    /// sparsely, never reallocated), and the rates must equal an eager
-    /// FullRescan fabric's bit for bit.
+    /// A 10k-host star with ~4k long-lived background flows in components
+    /// of their own, plus 1–3 churning flows on other hosts: every fill's
+    /// component walk must visit only the dirty component — exactly the
+    /// flows it refills, never more than the churning flows — and reuse
+    /// every background rate. The rates must equal an eager FullRescan
+    /// fabric's bit for bit throughout.
     #[test]
-    fn sparse_fill_scratch_stays_identity_on_a_10k_host_star() {
-        let hosts = 10_000;
+    fn component_walk_visits_only_dirty_flows_on_a_10k_host_star() {
+        const HOSTS: usize = 10_000;
+        const SERVERS: usize = 16;
+        const PER_SERVER: usize = 256;
+        const BACKGROUND: usize = SERVERS * PER_SERVER;
+        const MAX_LIVE: usize = 3;
+        // Background: the last 16 hosts each serve 256 clients of their
+        // own in [4000, 8096); churn stays on hosts [0, 4000).
+        let churn_hosts = 4_000;
         let mk = || {
-            Fabric::new(
-                hosts,
+            let mut f = Fabric::new(
+                HOSTS,
                 100.0,
                 None,
                 SimSpan::ZERO,
                 Some((90.0, 110.0)),
                 RngFactory::new(41).stream("sparse"),
-            )
+            );
+            for s in 0..SERVERS {
+                for c in 0..PER_SERVER {
+                    let (src, dst) = (HOSTS - SERVERS + s, churn_hosts + s * PER_SERVER + c);
+                    f.start_flow(SimTime::ZERO, NodeId(src), NodeId(dst), 1e15);
+                }
+            }
+            // Flush the background's own (single) fill before measuring.
+            let _ = f.next_completion();
+            f
         };
         let (mut inc, mut full) = (mk(), mk());
         full.set_fill_mode(FillMode::FullRescan);
@@ -1271,33 +1354,29 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut live: Vec<(FlowId, FlowId)> = Vec::new();
         for _ in 0..200 {
+            let before = inc.fill_counters();
             now += SimSpan::from_millis(1);
             // Keep 1–3 flows in flight: retire one when full, then top up
             // to a random target.
-            if live.len() == 3 {
-                let (a, b) = live.remove(rng.random_range(0..3));
+            if live.len() == MAX_LIVE {
+                let (a, b) = live.remove(rng.random_range(0..MAX_LIVE));
                 assert_eq!(inc.cancel_flow(now, a), full.cancel_flow(now, b));
             }
-            let target = rng.random_range(1..=3);
+            let target = rng.random_range(1..=MAX_LIVE);
             while live.len() < target {
-                let src = rng.random_range(0..hosts);
-                let dst = (src + rng.random_range(1..hosts)) % hosts;
+                let src = rng.random_range(0..churn_hosts);
+                let dst = (src + rng.random_range(1..churn_hosts)) % churn_hosts;
                 let bytes = rng.random_range(1e3..1e6);
                 let a = inc.start_flow(now, NodeId(src), NodeId(dst), bytes);
                 let b = full.start_flow(now, NodeId(src), NodeId(dst), bytes);
                 live.push((a, b));
             }
             if rng.random_range(0..4) == 0 {
-                let node = NodeId(rng.random_range(0..hosts));
+                let node = NodeId(rng.random_range(0..churn_hosts));
                 inc.set_link_factor(now, node, 0.5);
                 full.set_link_factor(now, node, 0.5);
             }
             assert_eq!(inc.next_completion(), full.next_completion());
-            assert!(
-                inc.scratch.uf.is_identity(),
-                "union-find scratch left dirty"
-            );
-            assert_eq!(inc.scratch.uf.parent.len(), 2 * hosts + 1);
             for &(a, b) in &live {
                 assert_eq!(
                     inc.rate_of(a).unwrap().to_bits(),
@@ -1307,8 +1386,106 @@ mod tests {
             let (da, db) = (inc.take_completed(now), full.take_completed(now));
             assert_eq!(da.len(), db.len());
             live.retain(|&(a, _)| da.iter().all(|d| d.id != a));
+            let after = inc.fill_counters();
+            let fills = after.fills - before.fills;
+            let walked = after.flows_walked - before.flows_walked;
+            assert_eq!(walked, after.flows_refilled - before.flows_refilled);
+            assert!(
+                walked <= fills * MAX_LIVE as u64,
+                "walk strayed beyond the churning flows: {walked} flows in {fills} fills"
+            );
+            assert!(after.flows_reused - before.flows_reused >= fills * BACKGROUND as u64);
         }
+        assert_eq!(inc.active_flows(), BACKGROUND + live.len());
         assert!(inc.fill_counters().fills >= 100, "churn must refill often");
+    }
+
+    /// Slot reuse must not leak into any order-dependent output: after the
+    /// early flows retire, later `FlowId`s land in low slots, yet
+    /// completions come back in ascending `FlowId`, `bytes_delivered` sums
+    /// in that order, and every per-node rate sum adds in `FlowId` order.
+    #[test]
+    fn outputs_keep_flow_id_order_under_slot_reuse() {
+        let mut f = Fabric::new(
+            6,
+            100.0,
+            None,
+            SimSpan::ZERO,
+            Some((90.0, 110.0)),
+            RngFactory::new(5).stream("reuse"),
+        );
+        // Eight early flows; retiring them frees slots 0..8.
+        let early: Vec<FlowId> = (0..8)
+            .map(|i| f.start_flow(SimTime::ZERO, n(i % 3), n(3 + i % 3), 1e9))
+            .collect();
+        // Long-lived flows in slots 8..20, each pinned at a distinct cap
+        // that is not a binary fraction, so every per-node rate sum
+        // rounds differently in different orders.
+        for i in 0..12 {
+            let id = f.start_flow(SimTime::ZERO, n(i % 3), n(3 + (i / 3) % 3), 1e12);
+            f.set_flow_cap(SimTime::ZERO, id, 1.1 + 0.7 * i as f64);
+        }
+        for &id in &early {
+            f.cancel_flow(SimTime::ZERO, id);
+        }
+        // Later ids reuse the freed slots in LIFO order, so slot order is
+        // the reverse of id order. Capped like the long-lived flows, so no
+        // link saturates; sizes chosen so they all finish within one tick.
+        let sizes = [0.7, 0.3, 0.5, 0.1, 0.8, 0.2, 0.6, 0.4];
+        let late: Vec<FlowId> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let id = f.start_flow(SimTime::ZERO, n((i + 1) % 3), n(3 + i % 3), b);
+                f.set_flow_cap(SimTime::ZERO, id, 2.3 + 0.9 * i as f64);
+                id
+            })
+            .collect();
+        let slots: Vec<usize> = late.iter().map(|id| f.index[id]).collect();
+        assert_eq!(slots, (0..8).rev().collect::<Vec<_>>());
+        let all: Vec<FlowId> = f.index.keys().copied().collect();
+        let mut order_sensitive = false;
+        for node in 0..6 {
+            // FlowId-ordered reference sums, built from `rate_of`.
+            let (mut tx, mut rx) = (Vec::new(), Vec::new());
+            for &id in &all {
+                let rate = f.rate_of(id).unwrap();
+                let (src, dst) = f.flow(id).map(|fl| (fl.src, fl.dst)).unwrap();
+                if src == n(node) {
+                    tx.push(rate);
+                }
+                if dst == n(node) {
+                    rx.push(rate);
+                }
+            }
+            let sum = |v: &[f64]| v.iter().fold(0.0, |acc, r| acc + r);
+            let (tx_sum, rx_sum) = (sum(&tx), sum(&rx));
+            for v in [&mut tx, &mut rx] {
+                let forward = sum(v);
+                v.reverse();
+                order_sensitive |= sum(v).to_bits() != forward.to_bits();
+            }
+            let (obs, obs_count) = f.tx_observation(n(node));
+            assert_eq!((obs.to_bits(), obs_count), (tx_sum.to_bits(), tx.len()));
+            let (tx_util, rx_util) = (tx_sum / f.eff_tx(node), rx_sum / f.eff_rx(node));
+            assert!(tx_util < 1.0 && rx_util < 1.0, "no clamp hides the sum");
+            assert_eq!(f.tx_utilization(n(node)).to_bits(), tx_util.to_bits());
+            assert_eq!(f.rx_utilization(n(node)).to_bits(), rx_util.to_bits());
+        }
+        assert!(order_sensitive, "the data must tell summation orders apart");
+        let t = SimTime::from_secs_f64(1.0);
+        let done = f.take_completed(t);
+        let ids: Vec<FlowId> = done.iter().map(|d| d.id).collect();
+        assert_eq!(ids, late, "completions in ascending FlowId");
+        let want = done.iter().fold(0.0, |acc, d| acc + d.bytes);
+        assert_eq!(f.bytes_delivered().to_bits(), want.to_bits());
+        let reversed = done.iter().rev().fold(0.0, |acc, d| acc + d.bytes);
+        assert_ne!(
+            want.to_bits(),
+            reversed.to_bits(),
+            "sizes must tell orders apart"
+        );
+        assert_eq!(f.active_flows(), 12);
     }
 }
 
@@ -1693,8 +1870,14 @@ mod proptests {
                 for &(a, b) in &live {
                     let (ra, rb) = (inc.rate_of(a).unwrap(), full.rate_of(b).unwrap());
                     prop_assert_eq!(ra.to_bits(), rb.to_bits(), "rate diverged");
-                    let (ma, mb) = (inc.flows[&a].remaining, full.flows[&b].remaining);
+                    let (ma, mb) = (inc.flow(a).unwrap().remaining, full.flow(b).unwrap().remaining);
                     prop_assert_eq!(ma.to_bits(), mb.to_bits(), "remaining diverged");
+                }
+                for node in (0..8).map(NodeId) {
+                    prop_assert_eq!(inc.tx_utilization(node).to_bits(),
+                                    full.tx_utilization(node).to_bits(), "tx utilization diverged");
+                    prop_assert_eq!(inc.rx_utilization(node).to_bits(),
+                                    full.rx_utilization(node).to_bits(), "rx utilization diverged");
                 }
             }
         });

@@ -17,9 +17,16 @@
 //! because the fill is a pure function of the task set, the coalesced result
 //! is bit-identical to eager per-operation recomputation.
 //!
-//! Completion queries are O(log n): every fill pushes projected completion
-//! times into a min-heap of `(time, generation, id)` entries; stale entries
-//! (task gone, or superseded by a newer fill) are lazily discarded on peek.
+//! State is slot-addressed so a fill does no map lookups: tasks live in a
+//! slab (reused slots, so slot order is not [`TaskId`] order), a
+//! `TaskId → slot` map serves the API and ascending-id walks, and a
+//! cap-ordered index — kept sorted by binary-search insert and remove — is
+//! the fill order, so a fill needs no sort.
+//!
+//! Completion queries are O(1): every fill re-projects every task's
+//! completion and keeps the minimum. Every mutation invalidates the
+//! allocation, forcing a full refill before the next query, so that
+//! minimum is always current.
 //!
 //! The caller schedules a completion tick for
 //! [`next_completion`](ShareResource::next_completion) carrying the current
@@ -27,8 +34,7 @@
 //! fires, the tick is stale and must be ignored.
 
 use crate::time::{SimSpan, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Identifies a task within one `ShareResource`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,13 +42,31 @@ pub struct TaskId(pub u64);
 
 #[derive(Debug, Clone)]
 struct Task {
+    id: TaskId,
     remaining: f64,
     total: f64,
     cap: f64,
     rate: f64,
-    /// Generation of this task's live heap entry; entries carrying an older
-    /// generation are stale and dropped when encountered at the heap top.
-    gen: u64,
+}
+
+impl Task {
+    /// Position key in the fill order: ascending cap, ties by id. Caps are
+    /// positive and finite, so `to_bits` orders exactly like the value.
+    fn cap_key(&self) -> (u64, TaskId) {
+        (self.cap.to_bits(), self.id)
+    }
+
+    /// Completion time at the current rate, seen from `now`; `None` when
+    /// starved (rate 0 with work left: never completes at current rates).
+    fn done_at(&self, now: SimTime) -> Option<SimTime> {
+        if self.rate > 0.0 {
+            Some(now + SimSpan::from_secs_f64(self.remaining / self.rate))
+        } else if self.remaining <= 0.0 {
+            Some(now)
+        } else {
+            None
+        }
+    }
 }
 
 /// A task removed before completion, with how much work it had left.
@@ -70,19 +94,24 @@ pub struct FillCounters {
 #[derive(Debug, Clone)]
 pub struct ShareResource {
     capacity: f64,
-    tasks: BTreeMap<TaskId, Task>,
+    /// Task slab; `None` marks a free slot, listed in `free`.
+    slots: Vec<Option<Task>>,
+    free: Vec<usize>,
+    /// Live task → slot, for API lookups and ascending-id walks.
+    index: BTreeMap<TaskId, usize>,
+    /// Live tasks in fill order, `(cap bits, id, slot)` ascending.
+    by_cap: Vec<(u64, TaskId, usize)>,
     last_update: SimTime,
     epoch: u64,
     next_id: u64,
     /// Total work ever completed (for utilization accounting).
     completed_work: f64,
-    /// True when a mutation has invalidated `rate` fields and the heap.
+    /// True when a mutation has invalidated `rate` fields and `next_done`.
     dirty: bool,
-    /// Min-heap of projected completions `(done_at, generation, id)`.
-    /// Entries are pushed at fill time; `done_at` is invariant under
-    /// [`advance`] at constant rates, so no re-projection is needed.
-    heap: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
-    next_gen: u64,
+    /// Earliest projected completion of the last fill. Projected absolute
+    /// times are invariant under [`advance`] at constant rates, so it stays
+    /// valid until the next fill.
+    next_done: Option<SimTime>,
     counters: FillCounters,
 }
 
@@ -95,14 +124,16 @@ impl ShareResource {
         );
         ShareResource {
             capacity,
-            tasks: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: BTreeMap::new(),
+            by_cap: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             next_id: 0,
             completed_work: 0.0,
             dirty: false,
-            heap: BinaryHeap::new(),
-            next_gen: 0,
+            next_done: None,
             counters: FillCounters::default(),
         }
     }
@@ -132,11 +163,19 @@ impl ShareResource {
     }
 
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.index.is_empty()
+    }
+
+    fn task(&self, id: TaskId) -> Option<&Task> {
+        self.index.get(&id).map(|&slot| self.live(slot))
+    }
+
+    fn live(&self, slot: usize) -> &Task {
+        self.slots[slot].as_ref().expect("indexed slot is live")
     }
 
     /// Submit `work` units with a per-task rate cap of `cap` units/second.
@@ -149,16 +188,25 @@ impl ShareResource {
         self.advance(now);
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        self.tasks.insert(
+        let task = Task {
             id,
-            Task {
-                remaining: work,
-                total: work,
-                cap,
-                rate: 0.0,
-                gen: u64::MAX,
-            },
-        );
+            remaining: work,
+            total: work,
+            cap,
+            rate: 0.0,
+        };
+        let (cap_bits, _) = task.cap_key();
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(Some(task));
+        } else {
+            self.slots[slot] = Some(task);
+        }
+        self.index.insert(id, slot);
+        let pos = self
+            .by_cap
+            .partition_point(|&(c, i, _)| (c, i) < (cap_bits, id));
+        self.by_cap.insert(pos, (cap_bits, id, slot));
         self.bump();
         id
     }
@@ -167,7 +215,15 @@ impl ShareResource {
     /// Returns its residual work, or `None` if the id is unknown/completed.
     pub fn remove(&mut self, now: SimTime, id: TaskId) -> Option<RemovedTask> {
         self.advance(now);
-        let task = self.tasks.remove(&id)?;
+        let slot = self.index.remove(&id)?;
+        let task = self.slots[slot].take().expect("indexed slot is live");
+        self.free.push(slot);
+        let key = task.cap_key();
+        let pos = self
+            .by_cap
+            .binary_search_by(|&(c, i, _)| (c, i).cmp(&key))
+            .expect("live task is in the cap order");
+        self.by_cap.remove(pos);
         self.bump();
         let progress = if task.total > 0.0 {
             ((task.total - task.remaining) / task.total).clamp(0.0, 1.0)
@@ -191,7 +247,7 @@ impl ShareResource {
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
             self.ensure_rates();
-            for task in self.tasks.values_mut() {
+            for task in self.slots.iter_mut().flatten() {
                 let done = task.rate * dt;
                 task.remaining = (task.remaining - done).max(0.0);
             }
@@ -205,42 +261,44 @@ impl ShareResource {
     /// so it contributes no (infinite) completion time.
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.ensure_rates();
-        while let Some(&Reverse((t, gen, id))) = self.heap.peek() {
-            match self.tasks.get(&id) {
-                Some(task) if task.gen == gen => return Some(t),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        None
+        self.next_done
     }
 
     /// Advance to `now`, then remove and return every finished task
-    /// (work would complete within half a clock tick).
+    /// (work would complete within half a clock tick), in ascending id.
     pub fn take_completed(&mut self, now: SimTime) -> Vec<TaskId> {
         self.advance(now);
         self.ensure_rates();
-        let done: Vec<TaskId> = self
-            .tasks
+        let mut done: Vec<(TaskId, usize)> = self
+            .slots
             .iter()
-            .filter(|(_, t)| t.remaining <= t.rate * 0.5e-9 || t.remaining <= 0.0)
-            .map(|(&id, _)| id)
+            .enumerate()
+            .filter_map(|(slot, t)| {
+                t.as_ref()
+                    .filter(|t| t.remaining <= t.rate * 0.5e-9 || t.remaining <= 0.0)
+                    .map(|t| (t.id, slot))
+            })
             .collect();
-        if !done.is_empty() {
-            for id in &done {
-                if let Some(t) = self.tasks.remove(id) {
-                    self.completed_work += t.total;
-                }
-            }
-            self.bump();
+        if done.is_empty() {
+            return Vec::new();
         }
-        done
+        // Ascending id keeps `completed_work`'s summation order.
+        done.sort_unstable();
+        for &(id, slot) in &done {
+            let t = self.slots[slot].take().expect("listed slot is live");
+            self.completed_work += t.total;
+            self.index.remove(&id);
+            self.free.push(slot);
+        }
+        let slots = &self.slots;
+        self.by_cap.retain(|&(_, _, slot)| slots[slot].is_some());
+        self.bump();
+        done.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Fraction of `id`'s work already performed, if the task is live.
     pub fn progress(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).map(|t| {
+        self.task(id).map(|t| {
             if t.total > 0.0 {
                 ((t.total - t.remaining) / t.total).clamp(0.0, 1.0)
             } else {
@@ -251,23 +309,23 @@ impl ShareResource {
 
     /// Residual work of `id`, if live.
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).map(|t| t.remaining.max(0.0))
+        self.task(id).map(|t| t.remaining.max(0.0))
     }
 
     /// Current service rate of `id`, if live.
     pub fn rate_of(&mut self, id: TaskId) -> Option<f64> {
         self.ensure_rates();
-        self.tasks.get(&id).map(|t| t.rate)
+        self.task(id).map(|t| t.rate)
     }
 
-    /// Sum of current rates divided by capacity, in `[0, 1]`.
-    /// A zero-capacity (fault-stalled) resource reports 0.
+    /// Sum of current rates divided by capacity, in `[0, 1]`, summed in
+    /// ascending id. A zero-capacity (fault-stalled) resource reports 0.
     pub fn utilization(&mut self) -> f64 {
         self.ensure_rates();
         if self.capacity <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self.tasks.values().map(|t| t.rate).sum();
+        let used: f64 = self.index.values().map(|&slot| self.live(slot).rate).sum();
         (used / self.capacity).clamp(0.0, 1.0)
     }
 
@@ -289,7 +347,7 @@ impl ShareResource {
     }
 
     /// Flush a pending coalesced mutation: one water-filling pass plus a
-    /// heap refresh. No-op when the allocation is current.
+    /// completion re-projection. No-op when the allocation is current.
     fn ensure_rates(&mut self) {
         if self.dirty {
             self.dirty = false;
@@ -299,57 +357,32 @@ impl ShareResource {
 
     /// Max-min fair water-filling with per-task caps.
     ///
-    /// Visiting tasks in ascending cap order, each takes
+    /// Visiting tasks in ascending cap order (ties by id), each takes
     /// `min(cap, remaining_capacity / remaining_tasks)`; a task that cannot
     /// use its fair share donates the surplus to the rest.
     ///
-    /// After assigning rates, every task's projected completion is pushed
-    /// into the heap under a fresh generation. Tasks with `rate == 0` and
-    /// work left get no entry — they will never complete at current rates.
+    /// Afterwards every task's completion is re-projected and the earliest
+    /// kept. Tasks with `rate == 0` and work left project nothing — they
+    /// will never complete at current rates.
     fn recompute_rates(&mut self) {
         self.counters.fills += 1;
-        let n = self.tasks.len();
-        if n == 0 {
-            return;
-        }
-        let mut order: Vec<TaskId> = self.tasks.keys().copied().collect();
-        order.sort_by(|a, b| {
-            let ca = self.tasks[a].cap;
-            let cb = self.tasks[b].cap;
-            ca.partial_cmp(&cb).unwrap().then(a.cmp(b))
-        });
         let mut left = self.capacity;
-        let mut remaining_tasks = n;
-        for id in order {
+        let mut remaining_tasks = self.by_cap.len();
+        for &(_, _, slot) in &self.by_cap {
             let fair = left / remaining_tasks as f64;
-            let task = self.tasks.get_mut(&id).expect("task in order list");
+            let task = self.slots[slot].as_mut().expect("ordered slot is live");
             let rate = task.cap.min(fair);
             task.rate = rate;
             left -= rate;
             remaining_tasks -= 1;
         }
-        // Refresh completion projections. Every fill reassigns every rate,
-        // so all prior entries are superseded — drop them wholesale instead
-        // of leaving them for lazy deletion. Projected absolute times are
-        // invariant under `advance` at constant rates, so the fresh entries
-        // stay valid until the next fill.
-        self.heap.clear();
-        for (&id, task) in self.tasks.iter_mut() {
-            let done_at = if task.rate > 0.0 {
-                Some(self.last_update + SimSpan::from_secs_f64(task.remaining / task.rate))
-            } else if task.remaining <= 0.0 {
-                Some(self.last_update)
-            } else {
-                None // starved: never completes at current rates
-            };
-            if let Some(t) = done_at {
-                task.gen = self.next_gen;
-                self.heap.push(Reverse((t, self.next_gen, id)));
-                self.next_gen += 1;
-            } else {
-                task.gen = u64::MAX;
-            }
-        }
+        let now = self.last_update;
+        self.next_done = self
+            .slots
+            .iter()
+            .flatten()
+            .filter_map(|t| t.done_at(now))
+            .min();
     }
 }
 
@@ -516,14 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn heap_skips_stale_entries_after_churn() {
+    fn next_completion_forgets_removed_tasks() {
         let mut r = ShareResource::new(100.0);
         let a = r.add(SimTime::ZERO, 100.0, 1000.0);
-        let _ = r.next_completion(); // entry for a at t=1
+        let _ = r.next_completion(); // a alone: t=1
         let b = r.add(SimTime::ZERO, 10.0, 1000.0);
-        let _ = r.next_completion(); // entries for a (t=2) and b (t=0.2)
+        let _ = r.next_completion(); // a at t=2, b at t=0.2: earliest 0.2
         r.remove(SimTime::ZERO, b);
-        // b's entries are stale; a is alone again and finishes at t=1.
+        // b's projection is gone; a is alone again and finishes at t=1.
         let t = r.next_completion().unwrap();
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
         assert_eq!(r.rate_of(a), Some(100.0));
@@ -658,5 +691,266 @@ mod proptests {
                 }
             }
         });
+    }
+
+    /// Oracle for the slot-indexed resource: random schedules of every
+    /// mutator and observer must agree bit for bit with the reference
+    /// implementation (ordered map, per-fill sort, completion heap). Caps
+    /// come from a small set half the time, so equal-cap ties — ordered by
+    /// id — are common.
+    #[test]
+    fn slot_indexed_share_matches_reference() {
+        // Op encoding: (kind, work, cap-ish, pick-cap-from-set, victim).
+        // kind 0/1 => add; 2 => remove; 3 => set_capacity; 4 => advance;
+        // 5 => take_completed.
+        let op = || (0u8..6, 0.0f64..50.0, 0.01f64..300.0, 0u8..2, 0usize..64);
+        const CAPS: [f64; 4] = [0.5, 10.0, 25.0, 100.0];
+        proptest!(|(batches in collection::vec(
+                        (collection::vec(op(), 1..12), 0.0f64..0.5),
+                        1..16))| {
+            let mut r = ShareResource::new(100.0);
+            let mut oracle = reference::Share::new(100.0);
+            let mut now = SimTime::ZERO;
+            let mut live: Vec<TaskId> = Vec::new();
+            for (ops, dt) in batches {
+                now += SimSpan::from_secs_f64(dt);
+                for (kind, work, c, from_set, victim) in ops {
+                    match kind {
+                        0 | 1 => {
+                            let cap = if from_set == 1 { CAPS[victim % CAPS.len()] } else { c };
+                            let id = r.add(now, work, cap);
+                            prop_assert_eq!(id, oracle.add(now, work, cap));
+                            live.push(id);
+                        }
+                        2 if !live.is_empty() => {
+                            let id = live.remove(victim % live.len());
+                            prop_assert_eq!(r.remove(now, id), oracle.remove(now, id));
+                        }
+                        3 => {
+                            // A quarter of the capacity changes stall the resource.
+                            let capacity = if victim % 4 == 0 { 0.0 } else { c };
+                            r.set_capacity(now, capacity);
+                            oracle.set_capacity(now, capacity);
+                        }
+                        4 => {
+                            now += SimSpan::from_secs_f64(work / 100.0);
+                            r.advance(now);
+                            oracle.advance(now);
+                        }
+                        5 => {
+                            let done = r.take_completed(now);
+                            prop_assert_eq!(&done, &oracle.take_completed(now));
+                            live.retain(|id| !done.contains(id));
+                        }
+                        _ => {}
+                    }
+                }
+                prop_assert_eq!(r.next_completion(), oracle.next_completion());
+                prop_assert_eq!(r.utilization().to_bits(), oracle.utilization().to_bits());
+                prop_assert_eq!(r.completed_work().to_bits(), oracle.completed_work.to_bits());
+                prop_assert_eq!(r.len(), live.len());
+                for &id in &live {
+                    prop_assert_eq!(r.rate_of(id).map(f64::to_bits),
+                                    oracle.rate_of(id).map(f64::to_bits));
+                    prop_assert_eq!(r.remaining(id).map(f64::to_bits),
+                                    oracle.remaining(id).map(f64::to_bits));
+                }
+                // Run the clock forward to the next completion, so tasks
+                // actually finish and slots get reused.
+                if let Some(t) = r.next_completion() {
+                    now = now.max(t);
+                    let done = r.take_completed(now);
+                    prop_assert_eq!(&done, &oracle.take_completed(now));
+                    live.retain(|id| !done.contains(id));
+                }
+            }
+        });
+    }
+
+    /// The pre-slab `ShareResource`, kept verbatim as the oracle's
+    /// reference: an ordered task map, a per-fill sort by cap, and a
+    /// generation-tagged completion heap rebuilt on every fill.
+    mod reference {
+        use super::{RemovedTask, SimSpan, SimTime, TaskId};
+        use std::cmp::Reverse;
+        use std::collections::{BTreeMap, BinaryHeap};
+
+        struct Task {
+            remaining: f64,
+            total: f64,
+            cap: f64,
+            rate: f64,
+            gen: u64,
+        }
+
+        pub struct Share {
+            capacity: f64,
+            tasks: BTreeMap<TaskId, Task>,
+            last_update: SimTime,
+            next_id: u64,
+            pub completed_work: f64,
+            dirty: bool,
+            heap: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
+            next_gen: u64,
+        }
+
+        impl Share {
+            pub fn new(capacity: f64) -> Self {
+                Share {
+                    capacity,
+                    tasks: BTreeMap::new(),
+                    last_update: SimTime::ZERO,
+                    next_id: 0,
+                    completed_work: 0.0,
+                    dirty: false,
+                    heap: BinaryHeap::new(),
+                    next_gen: 0,
+                }
+            }
+
+            pub fn set_capacity(&mut self, now: SimTime, capacity: f64) {
+                self.advance(now);
+                self.capacity = capacity;
+                self.dirty = true;
+            }
+
+            pub fn add(&mut self, now: SimTime, work: f64, cap: f64) -> TaskId {
+                self.advance(now);
+                let id = TaskId(self.next_id);
+                self.next_id += 1;
+                let task = Task {
+                    remaining: work,
+                    total: work,
+                    cap,
+                    rate: 0.0,
+                    gen: u64::MAX,
+                };
+                self.tasks.insert(id, task);
+                self.dirty = true;
+                id
+            }
+
+            pub fn remove(&mut self, now: SimTime, id: TaskId) -> Option<RemovedTask> {
+                self.advance(now);
+                let task = self.tasks.remove(&id)?;
+                self.dirty = true;
+                let progress = if task.total > 0.0 {
+                    ((task.total - task.remaining) / task.total).clamp(0.0, 1.0)
+                } else {
+                    1.0
+                };
+                Some(RemovedTask {
+                    remaining: task.remaining.max(0.0),
+                    progress,
+                })
+            }
+
+            pub fn advance(&mut self, now: SimTime) {
+                let dt = (now - self.last_update).as_secs_f64();
+                if dt > 0.0 {
+                    self.ensure_rates();
+                    for task in self.tasks.values_mut() {
+                        let done = task.rate * dt;
+                        task.remaining = (task.remaining - done).max(0.0);
+                    }
+                }
+                self.last_update = now;
+            }
+
+            pub fn next_completion(&mut self) -> Option<SimTime> {
+                self.ensure_rates();
+                while let Some(&Reverse((t, gen, id))) = self.heap.peek() {
+                    match self.tasks.get(&id) {
+                        Some(task) if task.gen == gen => return Some(t),
+                        _ => {
+                            self.heap.pop();
+                        }
+                    }
+                }
+                None
+            }
+
+            pub fn take_completed(&mut self, now: SimTime) -> Vec<TaskId> {
+                self.advance(now);
+                self.ensure_rates();
+                let done: Vec<TaskId> = self
+                    .tasks
+                    .iter()
+                    .filter(|(_, t)| t.remaining <= t.rate * 0.5e-9 || t.remaining <= 0.0)
+                    .map(|(&id, _)| id)
+                    .collect();
+                if !done.is_empty() {
+                    for id in &done {
+                        if let Some(t) = self.tasks.remove(id) {
+                            self.completed_work += t.total;
+                        }
+                    }
+                    self.dirty = true;
+                }
+                done
+            }
+
+            pub fn remaining(&self, id: TaskId) -> Option<f64> {
+                self.tasks.get(&id).map(|t| t.remaining.max(0.0))
+            }
+
+            pub fn rate_of(&mut self, id: TaskId) -> Option<f64> {
+                self.ensure_rates();
+                self.tasks.get(&id).map(|t| t.rate)
+            }
+
+            pub fn utilization(&mut self) -> f64 {
+                self.ensure_rates();
+                if self.capacity <= 0.0 {
+                    return 0.0;
+                }
+                let used: f64 = self.tasks.values().map(|t| t.rate).sum();
+                (used / self.capacity).clamp(0.0, 1.0)
+            }
+
+            fn ensure_rates(&mut self) {
+                if !self.dirty {
+                    return;
+                }
+                self.dirty = false;
+                let n = self.tasks.len();
+                if n == 0 {
+                    return;
+                }
+                let mut order: Vec<TaskId> = self.tasks.keys().copied().collect();
+                order.sort_by(|a, b| {
+                    let ca = self.tasks[a].cap;
+                    let cb = self.tasks[b].cap;
+                    ca.partial_cmp(&cb).unwrap().then(a.cmp(b))
+                });
+                let mut left = self.capacity;
+                let mut remaining_tasks = n;
+                for id in order {
+                    let fair = left / remaining_tasks as f64;
+                    let task = self.tasks.get_mut(&id).expect("task in order list");
+                    let rate = task.cap.min(fair);
+                    task.rate = rate;
+                    left -= rate;
+                    remaining_tasks -= 1;
+                }
+                self.heap.clear();
+                for (&id, task) in self.tasks.iter_mut() {
+                    let done_at = if task.rate > 0.0 {
+                        Some(self.last_update + SimSpan::from_secs_f64(task.remaining / task.rate))
+                    } else if task.remaining <= 0.0 {
+                        Some(self.last_update)
+                    } else {
+                        None
+                    };
+                    if let Some(t) = done_at {
+                        task.gen = self.next_gen;
+                        self.heap.push(Reverse((t, self.next_gen, id)));
+                        self.next_gen += 1;
+                    } else {
+                        task.gen = u64::MAX;
+                    }
+                }
+            }
+        }
     }
 }

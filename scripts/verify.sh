@@ -52,17 +52,22 @@ DOSAS_EXEC=parallel DOSAS_THREADS=2 cargo test -q --test policy_arena
 cargo test -q -p dosas --lib solvers_cross_check_to_k16
 # Incremental-fabric guarantees (DESIGN.md §10): the coalesced/dirty-set
 # fill must be bit-identical to the from-scratch fill in both substrates,
-# and zero-rate fault windows must not wedge completion tracking.
+# the slot-indexed share resource must match its map-and-heap reference
+# bit for bit, slot reuse must not reorder any fabric output, and
+# zero-rate fault windows must not wedge completion tracking.
 cargo test -q -p simkit --lib coalesced_fill_matches_eager_fill
+cargo test -q -p simkit --lib slot_indexed_share_matches_reference
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
+cargo test -q -p cluster --lib outputs_keep_flow_id_order_under_slot_reuse
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
 # Per-event cost independent of cluster size (DESIGN.md §6, §15): the
 # indexed fault plan must answer every query exactly like a linear scan of
 # the plan, a fault boundary must visit only the nodes that change there,
-# and a fill on a 10k-host star must leave its persistent scratch reset.
+# and a fill on a 10k-host star must walk only its dirty component while
+# matching a full rescan bit for bit.
 cargo test -q -p simkit --lib indexed_queries_match_linear_scan
 cargo test -q -p dosas --lib fault_boundaries_touch_only_the_nodes_that_change
-cargo test -q -p cluster --lib sparse_fill_scratch_stays_identity_on_a_10k_host_star
+cargo test -q -p cluster --lib component_walk_visits_only_dirty_flows_on_a_10k_host_star
 # Topology gate (DESIGN.md §15): the star builder must reproduce the legacy
 # single-switch fill bit-for-bit (so every pre-topology golden stays
 # byte-identical), the fat-tree graph fill must match a full rescan, the
