@@ -83,31 +83,6 @@ fn bench_fabric_recompute(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tick_dispatch(c: &mut Criterion) {
-    // The ISSUE 3 headline: a tick-dominated workload (every server fires at
-    // every timestamp) dispatched by the monolithic-heap serial executor vs
-    // the sharded-lane batch executor. Fixed total event count, so larger
-    // server counts mean larger same-timestamp batches.
-    use bench::tickworld::{run_serial_heap, run_sharded_parallel};
-    const TOTAL_EVENTS: u64 = 100_000;
-
-    let mut g = c.benchmark_group("tick_dispatch");
-    for servers in [16usize, 64, 256] {
-        let ticks = (TOTAL_EVENTS / servers as u64) as u32;
-        g.bench_with_input(
-            BenchmarkId::new("serial_heap", servers),
-            &servers,
-            |b, &s| b.iter(|| black_box(run_serial_heap(s, ticks))),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("sharded_parallel", servers),
-            &servers,
-            |b, &s| b.iter(|| black_box(run_sharded_parallel(s, ticks, 0))),
-        );
-    }
-    g.finish();
-}
-
 fn bench_fabric_churn(c: &mut Criterion) {
     // The incremental-fill headline: a churn-heavy flow schedule (bursts of
     // same-timestamp cancel+start over disjoint components, a completion
@@ -171,59 +146,6 @@ fn bench_topology_churn(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_driver_exec_mode(c: &mut Criterion) {
-    // End-to-end: contended DOSAS runs under both run loops (golden tests
-    // prove the metrics bit-identical; this measures the dispatch cost).
-    // Three workload points: the toy scale where serial wins on batching
-    // overhead, the large regime the sharded executor targets, and the
-    // scale-up regime (4096 ranks × 256 storage nodes) where the lookahead
-    // window amortises refills across hundreds of lanes. Each point reports
-    // events/sec via the throughput rate.
-    use criterion::Throughput;
-    use dosas::{Driver, DriverConfig, ExecMode, Scheme, Workload};
-    use kernels::KernelParams;
-
-    let params = || KernelParams::with_width(1024);
-    let points = [
-        (
-            "8r1s",
-            Workload::uniform_active(8, 1, 32 * 1024 * 1024, "gaussian2d", params()),
-            DriverConfig::paper(Scheme::dosas_default()),
-        ),
-        (
-            "512r64s",
-            bench::large_driver_workload(),
-            bench::large_driver_cfg(),
-        ),
-        (
-            "4096r256s",
-            bench::xl_driver_workload(),
-            bench::xl_driver_cfg(),
-        ),
-    ];
-
-    let mut g = c.benchmark_group("driver_exec_mode");
-    for (label, workload, cfg) in points {
-        // One untimed run pins the per-iteration event count so the
-        // throughput line reads in events/sec.
-        let events = Driver::run_with(cfg.clone(), &workload, ExecMode::Serial).events;
-        g.throughput(Throughput::Elements(events));
-        g.bench_with_input(BenchmarkId::new("serial", label), &workload, |b, w| {
-            b.iter(|| black_box(Driver::run_with(cfg.clone(), w, ExecMode::Serial)))
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", label), &workload, |b, w| {
-            b.iter(|| {
-                black_box(Driver::run_with(
-                    cfg.clone(),
-                    w,
-                    ExecMode::Parallel { threads: 0 },
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
 fn quick() -> Criterion {
     Criterion::default()
         .measurement_time(std::time::Duration::from_secs(3))
@@ -244,8 +166,7 @@ fn churn_quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_event_dispatch, bench_share_resource_churn, bench_fabric_recompute,
-        bench_tick_dispatch, bench_driver_exec_mode
+    targets = bench_event_dispatch, bench_share_resource_churn, bench_fabric_recompute
 }
 criterion_group! {
     name = churn;

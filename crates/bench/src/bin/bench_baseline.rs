@@ -1,23 +1,13 @@
 //! Emits `BENCH_simulator.json` — the committed machine-readable baseline
-//! for the simulation engine (ISSUE 3 + ISSUE 5 acceptance numbers).
+//! for the simulation engine's fill, scenario and policy measurements.
 //!
 //! Sections, all wall-clock `Instant` timings (best of three):
 //!
-//! 1. `tick_dispatch` — the synthetic tick-dominated world of
-//!    [`bench::tickworld`] at 16 / 64 / 256 servers with a fixed event
-//!    total, monolithic-heap serial executor vs the sharded
-//!    `ParallelSimulation`.
-//! 2. `driver` — full contended DOSAS runs under `ExecMode::Serial` vs
-//!    `ExecMode::Parallel`, checked bit-identical before timing, at three
-//!    scales: the paper testbed (64 ranks × 1 storage node), the large
-//!    regime the executor targets (512 ranks × 64 storage nodes), and the
-//!    scale-up regime where the lookahead window amortises (4096 ranks ×
-//!    256 storage nodes). Each point records events/sec in both modes.
-//! 3. `fabric_churn` — the churn-heavy flow schedule of
+//! 1. `fabric_churn` — the churn-heavy flow schedule of
 //!    [`bench::fabric_churn`] under the incremental water-filling fill vs
 //!    the pre-incremental full-recompute baseline (`FillMode::FullRescan`),
 //!    at 64 / 1024 / 8192 flows.
-//! 4. `topology` — the fat-tree fill-scaling schedule of
+//! 2. `topology` — the fat-tree fill-scaling schedule of
 //!    [`bench::topology_churn`] at the acceptance points (k = 16 / 1 024
 //!    hosts and k = 34 / 9 826 hosts, the latter with 100k+ flows in
 //!    flight): seconds of fill work per churn event under the incremental
@@ -25,31 +15,23 @@
 //!    full rescan is measured over a single churn event — every mutation
 //!    re-fills all ~108k flows, so one event already costs two global
 //!    fills and more would only repeat the figure.
-//! 5. `incremental_fabric` — stale-`NetTick` suppression and fill-reuse
+//! 3. `incremental_fabric` — stale-`NetTick` suppression and fill-reuse
 //!    counters from an observability-enabled standard DOSAS run: the ticks
 //!    the incremental fabric proved redundant and never dispatched.
-//! 6. `scenarios` — the multi-tenant scenario suite of
+//! 4. `scenarios` — the multi-tenant scenario suite of
 //!    [`bench::scenarios`] (storm, straggler, join/leave, heterogeneous,
 //!    SLO, soak, open-loop burst, fat-tree): events/sec per scenario plus
 //!    the fairness outcome, so the cost of the failure-rich multi-tenant
 //!    regime is tracked.
-//! 7. `policies` — the policy arena of [`bench::policy_matrix`]: every
+//! 5. `policies` — the policy arena of [`bench::policy_matrix`]: every
 //!    contention-control policy (`ce`, `restripe`, `token-bucket`, `pi`)
 //!    run against every scenario, recording makespan, bandwidth, Jain
 //!    fairness, SLO verdicts, demotions/interrupts and rate-cap activity
 //!    per cell.
 //!
 //! Plus a `profile` section: the simkit executor's wall-clock dispatch
-//! breakdown (per-subsystem handler time under the serial executor, batch
-//! statistics and lane-spill counts under the parallel one) for the paper
+//! breakdown (per-subsystem event counts and handler time) for the paper
 //! driver run, via `Driver::run_profiled`.
-//!
-//! And a `lookahead` section (DESIGN.md §13): per driver point, the
-//! lookahead-window statistics of the parallel run — refill count, events
-//! harvested through windows, mean window size, undercut count, the
-//! adaptive horizon's final value, lane spills (regression-pinned at 0 by
-//! `tests/parallel_exec.rs`), batch counts and the staging pool-bypass
-//! split.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_baseline [out.json]
@@ -58,7 +40,7 @@
 //! Run via `scripts/bench.sh`, which regenerates the committed file at the
 //! repository root.
 
-use bench::{executor_scaling, fabric_churn, topology_churn};
+use bench::{fabric_churn, topology_churn};
 use cluster::FillMode;
 use dosas::{Driver, DriverConfig, ExecMode, RunMetrics, Scheme, Workload};
 use kernels::KernelParams;
@@ -67,7 +49,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 const MIB: u64 = 1024 * 1024;
-const TICK_EVENTS: u64 = 200_000;
 
 fn paper_cfg() -> DriverConfig {
     let mut cfg = DriverConfig::paper(Scheme::dosas_default());
@@ -85,62 +66,19 @@ fn paper_workload() -> Workload {
     )
 }
 
-fn time_driver(cfg: &DriverConfig, workload: &Workload, mode: ExecMode) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(Driver::run_with(cfg.clone(), workload, mode));
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Time one driver point in both modes, asserting bit-identity first.
-fn driver_point(
-    label: &str,
-    desc: &str,
-    cfg: DriverConfig,
-    workload: Workload,
-) -> serde_json::Value {
-    let serial = Driver::run_with(cfg.clone(), &workload, ExecMode::Serial);
-    let parallel = Driver::run_with(cfg.clone(), &workload, ExecMode::Parallel { threads: 0 });
-    assert_eq!(
-        serde_json::to_string(&serial).unwrap(),
-        serde_json::to_string(&parallel).unwrap(),
-        "serial and parallel driver runs must be bit-identical ({label})"
-    );
-    let serial_secs = time_driver(&cfg, &workload, ExecMode::Serial);
-    let parallel_secs = time_driver(&cfg, &workload, ExecMode::Parallel { threads: 0 });
-    serde_json::json!({
-        "label": label,
-        "workload": desc,
-        "events": serial.events,
-        "events_cancelled": serial.events_cancelled,
-        "serial_secs": serial_secs,
-        "parallel_secs": parallel_secs,
-        "serial_events_per_sec": serial.events as f64 / serial_secs,
-        "parallel_events_per_sec": serial.events as f64 / parallel_secs,
-        "speedup": serial_secs / parallel_secs,
-    })
-}
-
 /// Time the multi-tenant scenario suite: every scenario from
-/// [`bench::scenarios`] run serially (bit-identity against the parallel
-/// executor is already pinned by `tests/tenant_scenarios.rs` golden
-/// snapshots), recording events/sec plus the per-tenant fairness outcome.
+/// [`bench::scenarios`] (whose metrics `tests/tenant_scenarios.rs` pins in
+/// golden snapshots), recording events/sec plus the per-tenant fairness
+/// outcome.
 fn scenario_section() -> serde_json::Value {
     let points: Vec<serde_json::Value> = bench::scenarios::all()
         .iter()
         .map(|s| {
-            let m = Driver::run_with(s.cfg.clone(), &s.workload, ExecMode::Serial);
+            let m = Driver::run(s.cfg.clone(), &s.workload);
             let secs = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    std::hint::black_box(Driver::run_with(
-                        s.cfg.clone(),
-                        &s.workload,
-                        ExecMode::Serial,
-                    ));
+                    std::hint::black_box(Driver::run(s.cfg.clone(), &s.workload));
                     t0.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min);
@@ -159,32 +97,6 @@ fn scenario_section() -> serde_json::Value {
         })
         .collect();
     serde_json::json!({ "points": points })
-}
-
-/// Lookahead-window statistics for one driver point: one profiled parallel
-/// run, reporting how the window machinery behaved (DESIGN.md §13).
-fn lookahead_point(label: &str, cfg: DriverConfig, workload: &Workload) -> serde_json::Value {
-    let (_, p) = Driver::run_profiled(cfg, workload, ExecMode::Parallel { threads: 0 });
-    let la = p.lookahead;
-    serde_json::json!({
-        "label": label,
-        "windows": la.windows,
-        "window_events": la.window_events,
-        "mean_window_events": if la.windows == 0 {
-            0.0
-        } else {
-            la.window_events as f64 / la.windows as f64
-        },
-        "undercuts": la.undercuts,
-        "drains": la.drains,
-        "drained_events": la.drained_events,
-        "final_horizon_ns": la.horizon_ns,
-        "queue_spilled": p.queue_spilled,
-        "batches": p.batches,
-        "batch_events": p.batch_events,
-        "pool_staged": p.pool_staged,
-        "pool_bypassed": p.pool_bypassed,
-    })
 }
 
 /// Stale-tick and fill-reuse counters from an obs-enabled standard run.
@@ -213,46 +125,6 @@ fn main() {
         .unwrap_or_else(|| {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_simulator.json")
         });
-
-    eprintln!("timing tick_dispatch sweep ({TICK_EVENTS} events/point)...");
-    let tick = executor_scaling(TICK_EVENTS, 0);
-
-    eprintln!("timing driver serial vs parallel (paper + large + scale-up points)...");
-    let driver_points = vec![
-        driver_point(
-            "64r1s",
-            "64 ranks x 256 MiB gaussian2d, DOSAS scheme, paper testbed",
-            paper_cfg(),
-            paper_workload(),
-        ),
-        driver_point(
-            "512r64s",
-            "512 ranks x 32 MiB gaussian2d, DOSAS scheme, 64 compute + 64 storage nodes",
-            bench::large_driver_cfg(),
-            bench::large_driver_workload(),
-        ),
-        driver_point(
-            "4096r256s",
-            "4096 ranks x 8 MiB gaussian2d, DOSAS scheme, 256 compute + 256 storage nodes",
-            bench::xl_driver_cfg(),
-            bench::xl_driver_workload(),
-        ),
-    ];
-
-    eprintln!("collecting lookahead-window statistics per driver point...");
-    let lookahead_points = vec![
-        lookahead_point("64r1s", paper_cfg(), &paper_workload()),
-        lookahead_point(
-            "512r64s",
-            bench::large_driver_cfg(),
-            &bench::large_driver_workload(),
-        ),
-        lookahead_point(
-            "4096r256s",
-            bench::xl_driver_cfg(),
-            &bench::xl_driver_workload(),
-        ),
-    ];
 
     eprintln!("timing fabric_churn schedule (incremental vs full rescan)...");
     let churn_points: Vec<serde_json::Value> = fabric_churn::FLOW_POINTS
@@ -345,23 +217,13 @@ fn main() {
     eprintln!("counting stale-NetTick suppression on the standard workload...");
     let mut obs_cfg = paper_cfg();
     obs_cfg.obs = obs::ObsConfig::enabled();
-    let obs_run = Driver::run_with(obs_cfg, &paper_workload(), ExecMode::Serial);
+    let obs_run = Driver::run(obs_cfg, &paper_workload());
     let incremental_fabric = incremental_fabric_section(&obs_run);
 
     eprintln!("profiling dispatch breakdown...");
     let (_, serial_profile) =
         Driver::run_profiled(paper_cfg(), &paper_workload(), ExecMode::Serial);
-    let (_, parallel_profile) = Driver::run_profiled(
-        paper_cfg(),
-        &paper_workload(),
-        ExecMode::Parallel { threads: 0 },
-    );
 
-    let tick_section = serde_json::json!({
-        "total_events_per_point": TICK_EVENTS,
-        "points": tick,
-    });
-    let driver_section = serde_json::json!({ "points": driver_points });
     let churn_section = serde_json::json!({
         "schedule": format!(
             "{} ticks x {} same-tick replace ops over {} disjoint pairs, one completion query per tick",
@@ -372,16 +234,9 @@ fn main() {
         "points": churn_points,
     });
     // Wall-clock dispatch breakdown (simkit executor profiling hooks):
-    // per-subsystem event counts and handler time under the serial
-    // executor, batch statistics and lane-FIFO spill count under the
-    // parallel one. Observational only — collecting it does not change the
-    // event stream, which the serial/parallel bit-identity assert above
-    // already proved for these exact runs.
-    let profile_section = serde_json::json!({
-        "serial": serial_profile,
-        "parallel": parallel_profile,
-    });
-    let lookahead_section = serde_json::json!({ "points": lookahead_points });
+    // per-subsystem event counts and handler time. Observational only —
+    // collecting it does not change the event stream.
+    let profile_section = serde_json::json!({ "serial": serial_profile });
     let topology_section = serde_json::json!({
         "schedule": format!(
             "{} ticks x {} same-tick intra-pod replace ops, one pod per tick, \
@@ -393,11 +248,8 @@ fn main() {
         "points": topology_points,
     });
     let report = serde_json::json!({
-        "schema": "dosas-bench-baseline/v7",
+        "schema": "dosas-bench-baseline/v8",
         "host_threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "tick_dispatch": tick_section,
-        "driver": driver_section,
-        "lookahead": lookahead_section,
         "fabric_churn": churn_section,
         "topology": topology_section,
         "incremental_fabric": incremental_fabric,
@@ -409,38 +261,6 @@ fn main() {
     json.push('\n');
     std::fs::write(&out, json).expect("write baseline");
     println!("wrote {}", out.display());
-    for p in report["tick_dispatch"]["points"].as_array().unwrap() {
-        println!(
-            "  {:>4} servers: heap {:.4}s  sharded {:.4}s  ({:.2}x)",
-            p["servers"],
-            p["heap_secs"].as_f64().unwrap_or(f64::NAN),
-            p["sharded_secs"].as_f64().unwrap_or(f64::NAN),
-            p["speedup"].as_f64().unwrap_or(f64::NAN),
-        );
-    }
-    for p in report["driver"]["points"].as_array().unwrap() {
-        println!(
-            "  driver {}: serial {:.4}s  parallel {:.4}s  ({:.2}x, {:.0} ev/s serial)",
-            p["label"].as_str().unwrap_or("?"),
-            p["serial_secs"].as_f64().unwrap_or(f64::NAN),
-            p["parallel_secs"].as_f64().unwrap_or(f64::NAN),
-            p["speedup"].as_f64().unwrap_or(f64::NAN),
-            p["serial_events_per_sec"].as_f64().unwrap_or(f64::NAN),
-        );
-    }
-    for p in report["lookahead"]["points"].as_array().unwrap() {
-        println!(
-            "  lookahead {}: {} windows, {:.1} ev/window, {} drains, {} undercuts, {} spills, pool {}/{} staged/bypassed",
-            p["label"].as_str().unwrap_or("?"),
-            p["windows"],
-            p["mean_window_events"].as_f64().unwrap_or(f64::NAN),
-            p["drains"],
-            p["undercuts"],
-            p["queue_spilled"],
-            p["pool_staged"],
-            p["pool_bypassed"],
-        );
-    }
     for p in report["fabric_churn"]["points"].as_array().unwrap() {
         println!(
             "  fabric_churn {:>4} flows: full {:.4}s  incremental {:.4}s  ({:.2}x)",

@@ -85,7 +85,6 @@ fn run(name: &str) -> bool {
         "ablate-bwest" => emit("ablate_bwest", &ablations::ablate_bandwidth_estimation()),
         "ablate-cache" => emit("ablate_cache", &ablations::ablate_server_cache()),
         "ablate-hetero" => emit("ablate_hetero", &ablations::ablate_heterogeneous_queue()),
-        "exec-scaling" => emit("exec_scaling", &bench::executor_scaling_table(200_000, 0)),
         other => {
             eprintln!("unknown experiment: {other}");
             return false;
@@ -117,7 +116,6 @@ const ALL: &[&str] = &[
     "ablate-bwest",
     "ablate-cache",
     "ablate-hetero",
-    "exec-scaling",
 ];
 
 fn main() {

@@ -24,8 +24,7 @@
 //! a directory `dosas-sim --check-obs` accepts. `--topology <spec>`
 //! re-wires the scenario's fabric (`star`, `tree[:arity]`, `fat-tree:k`)
 //! before running — `--matrix` respects the override, so the policy arena
-//! can be replayed on an oversubscribed tree. The executor is environment-selected
-//! as everywhere else: `DOSAS_EXEC=parallel` runs the sharded executor.
+//! can be replayed on an oversubscribed tree.
 
 use bench::{policy_matrix, scenarios};
 use dosas::policy::PolicyConfig;

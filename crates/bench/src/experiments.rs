@@ -116,72 +116,6 @@ pub fn table3(measure_secs: f64) -> Table {
     t
 }
 
-/// A single timed point of the executor-scaling sweep.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ExecutorPoint {
-    pub servers: usize,
-    pub events: u64,
-    pub heap_secs: f64,
-    pub sharded_secs: f64,
-    pub speedup: f64,
-}
-
-/// Executor scaling (DESIGN.md §8): wall time of the monolithic-heap serial
-/// executor vs the sharded-lane batch executor on a tick-dominated workload
-/// (`total_events` split over lockstep server tick chains). Both runs are
-/// checked to dispatch identical work before timing is reported; each mode
-/// takes the best of three runs to damp scheduler noise.
-pub fn executor_scaling(total_events: u64, threads: usize) -> Vec<ExecutorPoint> {
-    use crate::tickworld::{run_serial_heap, run_sharded_parallel};
-    use std::time::Instant;
-
-    let best_of = |f: &dyn Fn() -> (simkit::SimTime, u64, u64)| {
-        (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-
-    let mut out = Vec::new();
-    for &servers in &[16usize, 64, 256] {
-        let ticks = (total_events / servers as u64) as u32;
-        let heap = run_serial_heap(servers, ticks);
-        let sharded = run_sharded_parallel(servers, ticks, threads);
-        assert_eq!(heap, sharded, "executors diverged at {servers} servers");
-        let heap_secs = best_of(&|| run_serial_heap(servers, ticks));
-        let sharded_secs = best_of(&|| run_sharded_parallel(servers, ticks, threads));
-        out.push(ExecutorPoint {
-            servers,
-            events: heap.2,
-            heap_secs,
-            sharded_secs,
-            speedup: heap_secs / sharded_secs,
-        });
-    }
-    out
-}
-
-/// [`executor_scaling`] formatted for the experiments report.
-pub fn executor_scaling_table(total_events: u64, threads: usize) -> Table {
-    let mut t = Table::new(
-        "Sharded executor vs monolithic heap, tick-dominated workload",
-        &["servers", "events", "heap_secs", "sharded_secs", "speedup"],
-    );
-    for p in executor_scaling(total_events, threads) {
-        t.push(vec![
-            p.servers.to_string(),
-            p.events.to_string(),
-            format!("{:.4}", p.heap_secs),
-            format!("{:.4}", p.sharded_secs),
-            format!("{:.2}x", p.speedup),
-        ]);
-    }
-    t
-}
-
 /// One Table-IV situation.
 #[derive(Debug, Clone)]
 pub struct Situation {
@@ -312,19 +246,6 @@ mod tests {
             sum_rate > gauss_rate,
             "SUM ({sum_rate}) must outpace the Gaussian ({gauss_rate})"
         );
-    }
-
-    #[test]
-    fn executor_scaling_sweep_is_well_formed() {
-        // Tiny event total: validates the sweep shape and the built-in
-        // executor-equivalence assertion, not the timings.
-        let pts = executor_scaling(2_560, 1);
-        assert_eq!(pts.len(), 3);
-        for p in &pts {
-            assert!(p.events > 0);
-            assert!(p.heap_secs > 0.0 && p.sharded_secs > 0.0);
-            assert!(p.speedup.is_finite());
-        }
     }
 
     #[test]

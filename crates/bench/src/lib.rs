@@ -12,13 +12,11 @@ pub mod plot;
 pub mod policy_matrix;
 pub mod report;
 pub mod scenarios;
-pub mod tickworld;
 pub mod topology_churn;
 
 pub use experiments::*;
 pub use report::{write_csv, Table};
 
-use cluster::ClusterConfig;
 use dosas::{Driver, DriverConfig, RunMetrics, Scheme, Workload};
 use kernels::KernelParams;
 
@@ -66,54 +64,6 @@ pub fn run_point_with(
     let workload =
         Workload::uniform_active(n, storage_nodes, size_mb * 1024 * 1024, op, params_for(op));
     Driver::run(cfg, &workload)
-}
-
-/// Driver configuration for the large-regime benchmark point: 64 compute +
-/// 64 storage nodes (the scale the sharded executor targets — the paper
-/// testbed scaled up 8×), paper rates and scheme, fixed seed.
-pub fn large_driver_cfg() -> DriverConfig {
-    let mut cfg = DriverConfig::paper(Scheme::dosas_default());
-    cfg.cluster = ClusterConfig {
-        compute_nodes: 64,
-        storage_nodes: 64,
-        ..ClusterConfig::discfarm()
-    };
-    cfg
-}
-
-/// Workload for the large-regime point: 512 ranks, 8 per storage node.
-pub fn large_driver_workload() -> Workload {
-    Workload::uniform_active(
-        8,
-        64,
-        32 * 1024 * 1024,
-        "gaussian2d",
-        KernelParams::with_width(1024),
-    )
-}
-
-/// Driver configuration for the scale-up benchmark point: 256 compute +
-/// 256 storage nodes, the regime where the lookahead window pays for
-/// itself (hundreds of concurrently armed lanes per refill).
-pub fn xl_driver_cfg() -> DriverConfig {
-    let mut cfg = DriverConfig::paper(Scheme::dosas_default());
-    cfg.cluster = ClusterConfig {
-        compute_nodes: 256,
-        storage_nodes: 256,
-        ..ClusterConfig::discfarm()
-    };
-    cfg
-}
-
-/// Workload for the scale-up point: 4096 ranks, 16 per storage node.
-pub fn xl_driver_workload() -> Workload {
-    Workload::uniform_active(
-        16,
-        256,
-        8 * 1024 * 1024,
-        "gaussian2d",
-        KernelParams::with_width(1024),
-    )
 }
 
 /// Seconds of makespan, averaged over `seeds` replications.

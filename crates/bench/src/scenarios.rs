@@ -5,9 +5,8 @@
 //! either empty or rebuilt from a fixed seed. They back three consumers:
 //!
 //! * `tests/tenant_scenarios.rs` — every scenario has a golden
-//!   `RunMetrics` snapshot (`tests/golden/scenario-<name>.json`) that must
-//!   be bit-identical under both the serial and the sharded parallel
-//!   executor.
+//!   `RunMetrics` snapshot (`tests/golden/scenario-<name>.json`) that every
+//!   run must reproduce byte for byte.
 //! * the `scenario` binary — run one by name and print its metrics.
 //! * `bench_baseline` — the scenario sweep is a benchmark point, so the
 //!   cost of the failure-rich multi-tenant regime is tracked over time.
@@ -34,19 +33,16 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Run to completion under the environment-selected executor.
+    /// Run to completion (see [`dosas::Driver::run`]).
     pub fn run(&self) -> dosas::RunMetrics {
         dosas::Driver::run(self.cfg.clone(), &self.workload)
     }
 
-    /// Like [`run`](Self::run), but also returns the executor's wall-clock
-    /// profile (`scenario --obs-out` ships it as `profile.json`).
+    /// Like [`run`](Self::run), but also returns the per-subsystem
+    /// wall-clock dispatch profile (`scenario --obs-out` ships it as
+    /// `profile.json`).
     pub fn run_profiled(&self) -> (dosas::RunMetrics, simkit::ExecProfile) {
-        dosas::Driver::run_profiled(
-            self.cfg.clone(),
-            &self.workload,
-            dosas::ExecMode::from_env(),
-        )
+        dosas::Driver::run_profiled(self.cfg.clone(), &self.workload, dosas::ExecMode::Serial)
     }
 }
 

@@ -35,17 +35,6 @@ pub use net::{Fabric, FillMode, FlowCompletion, FlowId, NetFillCounters};
 pub use node::{NodeId, NodeRole};
 pub use topology::{ClusterState, Topology, TopologySpec};
 
-// Per-server resources are plain data with no interior mutability, which is
-// what lets `ParallelSimulation` hand disjoint `&mut Disk` / `&mut Cpu`
-// slices to worker threads. Keep them (and the assembled state) `Send`.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Cpu>();
-    assert_send::<Disk>();
-    assert_send::<Fabric>();
-    assert_send::<ClusterState>();
-};
-
 /// Bytes in a mebibyte; the paper's request sizes are expressed in MB = MiB.
 pub const MIB: f64 = 1024.0 * 1024.0;
 

@@ -24,8 +24,7 @@
 //!   two-level routing, the static analogue of ECMP hashing.
 //!
 //! Routes are pure functions of `(topology, src, dst)` — no RNG, no state —
-//! so the simulation's determinism (and the serial/parallel bit-identity
-//! contract) is unaffected by topology choice.
+//! so the simulation's determinism is unaffected by topology choice.
 
 use crate::config::ClusterConfig;
 use crate::cpu::Cpu;

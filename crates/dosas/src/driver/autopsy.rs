@@ -20,10 +20,10 @@
 //!   produced them. Its segments tile `[0, makespan]`, so the critical
 //!   path is itself an additive decomposition of the makespan.
 //!
-//! Everything here is recorded inside event handlers, which both executors
-//! replay in an identical total order — the report is byte-identical
-//! across `ExecMode::Serial` and `Parallel{n}`. With the flag off no chain
-//! is allocated and no handler records anything.
+//! Everything here is recorded inside event handlers, which the executor
+//! dispatches in one deterministic total order — the report is
+//! byte-identical across replays of a run. With the flag off no chain is
+//! allocated and no handler records anything.
 
 use super::Driver;
 use serde::Serialize;
@@ -468,8 +468,7 @@ impl AutopsyReport {
     /// Deterministic plain-text report: aggregate attribution, the
     /// critical path, and the `top_k` slowest requests with their full
     /// hop-by-hop breakdowns. Every number comes from bit-identical
-    /// simulation state, so the rendering is byte-identical across
-    /// executors.
+    /// simulation state, so the rendering is byte-identical across replays.
     pub fn render(&self, top_k: usize) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

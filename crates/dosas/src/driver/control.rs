@@ -339,9 +339,9 @@ impl Driver {
 
     /// Apply per-rank rate-cap directives from a decision round: update the
     /// io_path's cap table (new flows pick caps up at launch) and re-cap
-    /// the rank's request flows already in flight. Runs inside a
-    /// global-lane control event, so the fabric mutation is a barrier in
-    /// every exec mode — serial and parallel runs stay byte-identical.
+    /// the rank's request flows already in flight. Runs inside the control
+    /// event that delivers the decision, in the run's one total event order,
+    /// so replays stay byte-identical.
     fn apply_rate_caps(&mut self, caps: &[RateCap], now: SimTime, sched: &mut Scheduler<Ev>) {
         if caps.is_empty() {
             return;

@@ -98,10 +98,9 @@ impl Driver {
     /// armed tick is deduplicated outright; a superseded tick armed for a
     /// *future* instant is suppressed (cancelled in the queue before it can
     /// dispatch). A superseded tick armed
-    /// for the *current* instant is left to fire and go stale instead: under
-    /// the parallel executor it may already sit in the popped batch, where a
-    /// cancel can no longer stop its dispatch, and the serial executor must
-    /// dispatch the exact same event stream for the goldens to agree.
+    /// for the *current* instant is left to fire and go stale instead; the
+    /// goldens pin that event stream, including the stale dispatches in
+    /// their event counters.
     pub(super) fn schedule_net(&mut self, sched: &mut Scheduler<Ev>) {
         let next = self.cluster.fabric.next_completion();
         let epoch = self.cluster.fabric.epoch();

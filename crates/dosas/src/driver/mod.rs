@@ -70,11 +70,10 @@ use pfs::{DataServer, MemoryStore, MetadataServer, RequestId, StripeLayout};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ranks::Ranks;
-use server::StagedTicks;
 use server::{KernelSlots, Servers};
 use simkit::{
-    Component, FaultPlan, Lane, Laned, ParallelSimulation, RngFactory, Routed, Scheduler, SimSpan,
-    SimTime, Simulation, World,
+    Component, ExecProfile, FaultPlan, RngFactory, Routed, Scheduler, SimSpan, SimTime, Simulation,
+    World,
 };
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -152,8 +151,8 @@ pub enum Ev {
     ProbeRetry(NodeId),
     /// A delayed probe's policy finally reaches the runtime.
     PolicyArrive(u64),
-    /// Periodic observability sample (global lane, so it acts as a barrier
-    /// and reads a consistent world state in every exec mode).
+    /// Periodic observability sample; reads a consistent world state
+    /// between two dispatches.
     Sample,
 }
 
@@ -179,22 +178,6 @@ impl Routed for Ev {
             Ev::Probe(_) | Ev::ProbeRetry(_) | Ev::PolicyArrive(_) => Subsystem::Control,
             Ev::Fault => Subsystem::Faults,
             Ev::Sample => Subsystem::Telemetry,
-        }
-    }
-}
-
-impl Laned for Ev {
-    /// Shard key for the [`LaneQueue`](simkit::LaneQueue): each per-node
-    /// resource tick gets its own lane (disk `o` → even lane `2o`, CPU on
-    /// node `n` → odd lane `2n+1`); everything that can touch shared state —
-    /// rank traffic, the fabric's `NetTick`, delivery, CE control, faults —
-    /// stays in the global lane, where it acts as a barrier between
-    /// parallel tick runs (see [`simkit::BatchWorld::handle_batch`]).
-    fn lane(&self) -> Lane {
-        match *self {
-            Ev::DiskTick { ordinal, .. } => Lane::Server(2 * ordinal),
-            Ev::CpuTick { node, .. } => Lane::Server(2 * node + 1),
-            _ => Lane::Global,
         }
     }
 }
@@ -349,10 +332,6 @@ impl Driver {
                 disk_req: BTreeMap::new(),
                 cpu_work: BTreeMap::new(),
                 slots: KernelSlots::new(fifo_kernels),
-                staged: StagedTicks::default(),
-                run_seen: Vec::new(),
-                stage_pooled: 0,
-                stage_inline: 0,
             },
             control: Control {
                 policy,
@@ -379,61 +358,54 @@ impl Driver {
         }
     }
 
-    /// Run a workload to completion and report metrics.
-    ///
-    /// The executor is picked from the environment: `DOSAS_EXEC=parallel`
-    /// selects [`ExecMode::Parallel`] (thread count from `DOSAS_THREADS`,
-    /// default one per core), anything else runs serial. Results are
-    /// bit-identical either way, so existing suites can be re-run under the
-    /// parallel executor unchanged (`scripts/verify.sh` does).
+    /// Run a workload to completion on the serial [`Simulation`] and
+    /// report metrics. Runs are deterministic: the same config and workload
+    /// give byte-identical [`RunMetrics`].
     pub fn run(cfg: DriverConfig, workload: &Workload) -> RunMetrics {
-        Self::run_with(cfg, workload, ExecMode::from_env())
+        Self::execute(cfg, workload, false).0
     }
 
-    /// Run a workload to completion under an explicit executor.
-    pub fn run_with(cfg: DriverConfig, workload: &Workload, mode: ExecMode) -> RunMetrics {
+    /// Like [`Driver::run`], but with wall-clock profiling enabled: a
+    /// per-subsystem dispatch breakdown. Profiling is purely observational —
+    /// the returned [`RunMetrics`] are bit-identical to an unprofiled run.
+    /// `ExecMode` has one variant; the parameter stays only for the
+    /// `benchmark/` package, which passes `ExecMode::Serial`.
+    pub fn run_profiled(
+        cfg: DriverConfig,
+        workload: &Workload,
+        _mode: ExecMode,
+    ) -> (RunMetrics, ExecProfile) {
+        let (metrics, profile) = Self::execute(cfg, workload, true);
+        (metrics, profile.expect("profiling enabled"))
+    }
+
+    fn execute(
+        cfg: DriverConfig,
+        workload: &Workload,
+        profile: bool,
+    ) -> (RunMetrics, Option<ExecProfile>) {
         let scheme_name = cfg.scheme.name().to_string();
         let total_bytes = workload.total_request_bytes() as f64;
         let driver = Driver::new(cfg, workload);
         let seed = driver.seed_plan();
-        match mode {
-            ExecMode::Serial => {
-                let mut sim = Simulation::new(driver);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                )
-            }
-            ExecMode::Parallel { threads } => {
-                let mut sim = ParallelSimulation::with_threads(driver, threads);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                )
-            }
+        let mut sim = Simulation::new(driver);
+        if profile {
+            sim.enable_profiling(Self::profile_label);
         }
+        seed.apply(sim.scheduler());
+        let end = sim.run();
+        let events = sim.scheduler().dispatched_count();
+        let scheduled = sim.scheduler().scheduled_count();
+        let cancelled = sim.scheduler().cancelled_count();
+        let profile = sim.take_profile();
+        let metrics =
+            sim.world
+                .collect_metrics(scheme_name, total_bytes, end, events, scheduled, cancelled);
+        (metrics, profile)
     }
 
-    /// The initial event schedule, captured before the world moves into an
-    /// executor (both executors seed identically).
+    /// The initial event schedule, captured before the world moves into the
+    /// [`Simulation`].
     fn seed_plan(&self) -> SeedPlan {
         SeedPlan {
             fault_times: self.cfg.fault_plan.transition_times(),
@@ -460,92 +432,15 @@ impl Driver {
             Subsystem::Telemetry => "telemetry",
         }
     }
-
-    /// Like [`Driver::run_with`], but with wall-clock executor profiling
-    /// enabled: per-subsystem dispatch breakdown (serial) or per-batch
-    /// timing (parallel). Profiling is purely observational — the returned
-    /// [`RunMetrics`] are bit-identical to an unprofiled run.
-    pub fn run_profiled(
-        cfg: DriverConfig,
-        workload: &Workload,
-        mode: ExecMode,
-    ) -> (RunMetrics, simkit::ExecProfile) {
-        let scheme_name = cfg.scheme.name().to_string();
-        let total_bytes = workload.total_request_bytes() as f64;
-        let driver = Driver::new(cfg, workload);
-        let seed = driver.seed_plan();
-        match mode {
-            ExecMode::Serial => {
-                let mut sim = Simulation::new(driver);
-                sim.enable_profiling(Self::profile_label);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                let mut profile = sim.take_profile().expect("profiling enabled");
-                profile.queue_spilled = sim.scheduler().spilled_count();
-                let metrics = sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                );
-                (metrics, profile)
-            }
-            ExecMode::Parallel { threads } => {
-                let mut sim = ParallelSimulation::with_threads(driver, threads);
-                sim.enable_profiling(Self::profile_label);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                let mut profile = sim.take_profile().expect("profiling enabled");
-                profile.queue_spilled = sim.scheduler().spilled_count();
-                profile.lookahead = sim.scheduler().lookahead_stats();
-                profile.pool_staged = sim.world.server.stage_pooled;
-                profile.pool_bypassed = sim.world.server.stage_inline;
-                let metrics = sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                );
-                (metrics, profile)
-            }
-        }
-    }
 }
 
-/// Which run loop drives the simulation.
+/// The executor that drives a run. [`Simulation`] is the only one; the enum
+/// stays only because the `benchmark/` package passes `ExecMode::Serial` to
+/// [`Driver::run_profiled`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One event at a time over the monolithic heap ([`Simulation`]).
+    /// One event at a time over the event heap ([`Simulation`]).
     Serial,
-    /// Whole-timestamp batches over per-server lanes with parallel tick
-    /// staging ([`ParallelSimulation`]); `threads == 0` means one worker
-    /// per available core. Bit-identical to [`ExecMode::Serial`].
-    Parallel { threads: usize },
-}
-
-impl ExecMode {
-    /// `DOSAS_EXEC=parallel` (+ optional `DOSAS_THREADS=n`) or serial.
-    pub fn from_env() -> Self {
-        match std::env::var("DOSAS_EXEC").as_deref() {
-            Ok("parallel") => ExecMode::Parallel {
-                threads: std::env::var("DOSAS_THREADS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0),
-            },
-            _ => ExecMode::Serial,
-        }
-    }
 }
 
 /// The initial events of a run: fault transitions first, so same-time fault

@@ -20,8 +20,8 @@ use cluster::NodeId;
 use kernels::calibrate::synthetic_f64_stream;
 use pfs::{DataServer, RequestId};
 use simkit::component::Component;
-use simkit::fifo::{Completion as DiskCompletion, ReqId as DiskReqId};
-use simkit::{BatchWorld, Scheduler, SimTime, TaskId, World};
+use simkit::fifo::ReqId as DiskReqId;
+use simkit::{Scheduler, SimTime, TaskId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What a completed CPU task was doing.
@@ -103,30 +103,6 @@ pub(super) struct Servers {
     pub(super) disk_req: BTreeMap<(usize, DiskReqId), RequestId>,
     pub(super) cpu_work: BTreeMap<(usize, TaskId), CpuWork>,
     pub(super) slots: KernelSlots,
-    pub(super) staged: StagedTicks,
-    /// Reused scratch for [`BatchWorld::handle_batch`]'s run cutting — node
-    /// keys seen in the current run (tiny, so linear scans beat a set).
-    pub(super) run_seen: Vec<usize>,
-    /// Tick runs staged on the thread pool vs. run inline because they fell
-    /// below the adaptive pool-bypass threshold (profile surfacing only).
-    pub(super) stage_pooled: u64,
-    pub(super) stage_inline: u64,
-}
-
-/// Completions harvested in the parallel staging phase (A) of a tick run,
-/// consumed by the tick handlers during serial dispatch (B). Keys are disk
-/// ordinals / CPU node ids; a run drains its stage completely, checked by a
-/// debug assertion in [`BatchWorld::handle_batch`]. See DESIGN.md §8.
-#[derive(Default)]
-pub(super) struct StagedTicks {
-    disks: BTreeMap<usize, Vec<DiskCompletion>>,
-    cpus: BTreeMap<usize, Vec<TaskId>>,
-}
-
-impl StagedTicks {
-    pub(super) fn is_empty(&self) -> bool {
-        self.disks.is_empty() && self.cpus.is_empty()
-    }
 }
 
 /// Routed-event entry point for the subsystem.
@@ -196,18 +172,10 @@ impl Driver {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        // Staged by phase A of a parallel tick run: the epoch was validated
-        // (and bumped by the harvest) there, so consume without re-checking.
-        let completions = match self.server.staged.disks.remove(&ordinal) {
-            Some(c) => c,
-            None => {
-                if self.cluster.disks[ordinal].epoch() != epoch {
-                    return; // stale tick; a newer one is queued
-                }
-                self.cluster.disks[ordinal].take_completed(now)
-            }
-        };
-        for c in completions {
+        if self.cluster.disks[ordinal].epoch() != epoch {
+            return; // stale tick; a newer one is queued
+        }
+        for c in self.cluster.disks[ordinal].take_completed(now) {
             if self.faults.stall_reqs.remove(&(ordinal, c.id)) {
                 continue; // injected stall draining, not a real request
             }
@@ -385,16 +353,10 @@ impl Driver {
     }
 
     fn on_cpu_tick(&mut self, node: usize, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let done = match self.server.staged.cpus.remove(&node) {
-            Some(done) => done, // harvested by phase A; epoch already checked
-            None => {
-                if self.cluster.cpus[node].epoch() != epoch {
-                    return;
-                }
-                self.cluster.cpus[node].take_completed(now)
-            }
-        };
-        for task in done {
+        if self.cluster.cpus[node].epoch() != epoch {
+            return;
+        }
+        for task in self.cluster.cpus[node].take_completed(now) {
             let work = self
                 .server
                 .cpu_work
@@ -527,172 +489,6 @@ impl Driver {
         let result_bytes = self.cfg.rates.result_model(&op).bytes(bytes);
         let dst = self.io.reqs[&id].client;
         self.launch_flow(id, server, dst, result_bytes, now, sched);
-    }
-
-    /// Phase A of a tick run: harvest the fresh ticks' completions from
-    /// their (pairwise independent) resources into [`StagedTicks`], on the
-    /// pool when it has workers to offer, inline otherwise — the arithmetic
-    /// and the resulting state are identical either way.
-    ///
-    /// Only `take_completed` moves here; everything order-sensitive (stall
-    /// filtering, kernel starts, the jitter RNG) stays in phase B, which
-    /// replays the exact serial (time, seq) order.
-    fn stage_ticks(&mut self, run: &[Ev], now: SimTime, pool: &simkit::ExecPool) {
-        let mut disk_want: Vec<usize> = Vec::new();
-        let mut cpu_want: Vec<usize> = Vec::new();
-        for ev in run {
-            match *ev {
-                Ev::DiskTick { ordinal, epoch } if self.cluster.disks[ordinal].epoch() == epoch => {
-                    disk_want.push(ordinal)
-                }
-                Ev::CpuTick { node, epoch } if self.cluster.cpus[node].epoch() == epoch => {
-                    cpu_want.push(node)
-                }
-                _ => {} // stale tick: phase B drops it via the epoch check
-            }
-        }
-        // Pool bypass: staging fans out only when there are enough fresh
-        // ticks to amortise the scope/spawn overhead across the workers a
-        // pool actually has — a couple of ticks per worker at minimum. Tiny
-        // runs (and every run on a 1-worker pool) harvest inline on the
-        // caller; the arithmetic and resulting state are identical.
-        let threads = pool.workers();
-        let fresh = disk_want.len() + cpu_want.len();
-        if fresh < 2 || threads <= 1 || fresh < (2 * threads).max(4) {
-            self.server.stage_inline += 1;
-            for o in disk_want {
-                let c = self.cluster.disks[o].take_completed(now);
-                self.server.staged.disks.insert(o, c);
-            }
-            for n in cpu_want {
-                let c = self.cluster.cpus[n].take_completed(now);
-                self.server.staged.cpus.insert(n, c);
-            }
-            return;
-        }
-        self.server.stage_pooled += 1;
-        disk_want.sort_unstable();
-        cpu_want.sort_unstable();
-        let mut disk_jobs: Vec<(usize, &mut cluster::Disk)> = self
-            .cluster
-            .disks
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| disk_want.binary_search(i).is_ok())
-            .collect();
-        let mut cpu_jobs: Vec<(usize, &mut cluster::Cpu)> = self
-            .cluster
-            .cpus
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| cpu_want.binary_search(i).is_ok())
-            .collect();
-        let mut disk_out: Vec<Vec<DiskCompletion>> = Vec::new();
-        disk_out.resize_with(disk_jobs.len(), Vec::new);
-        let mut cpu_out: Vec<Vec<TaskId>> = Vec::new();
-        cpu_out.resize_with(cpu_jobs.len(), Vec::new);
-        let dchunk = disk_jobs.len().div_ceil(threads).max(1);
-        let cchunk = cpu_jobs.len().div_ceil(threads).max(1);
-        pool.get().scope(|s| {
-            for (jobs, outs) in disk_jobs
-                .chunks_mut(dchunk)
-                .zip(disk_out.chunks_mut(dchunk))
-            {
-                s.spawn(move |_| {
-                    for ((_, disk), out) in jobs.iter_mut().zip(outs.iter_mut()) {
-                        *out = disk.take_completed(now);
-                    }
-                });
-            }
-            for (jobs, outs) in cpu_jobs.chunks_mut(cchunk).zip(cpu_out.chunks_mut(cchunk)) {
-                s.spawn(move |_| {
-                    for ((_, cpu), out) in jobs.iter_mut().zip(outs.iter_mut()) {
-                        *out = cpu.take_completed(now);
-                    }
-                });
-            }
-        });
-        for (o, out) in disk_want.into_iter().zip(disk_out) {
-            self.server.staged.disks.insert(o, out);
-        }
-        for (n, out) in cpu_want.into_iter().zip(cpu_out) {
-            self.server.staged.cpus.insert(n, out);
-        }
-    }
-}
-
-/// Node key a tick event exclusively owns (`DiskTick` for ordinal `o` lives
-/// on storage node `compute + o`); `None` for non-tick events.
-fn tick_node(ev: &Ev, compute_nodes: usize) -> Option<usize> {
-    match *ev {
-        Ev::DiskTick { ordinal, .. } => Some(compute_nodes + ordinal),
-        Ev::CpuTick { node, .. } => Some(node),
-        _ => None,
-    }
-}
-
-impl BatchWorld for Driver {
-    /// Two-phase dispatch of one same-timestamp batch, bit-identical to the
-    /// serial loop (DESIGN.md §8).
-    ///
-    /// The batch is cut into maximal *runs* of consecutive tick events whose
-    /// node keys are pairwise distinct; any non-tick event (all of which
-    /// live in the global lane) or a repeated node ends the run and acts as
-    /// a barrier. Within a run, tick handlers only mutate their own node's
-    /// resources plus globally shared state, so harvesting all fresh runs'
-    /// completions up front (phase A, parallel) observes exactly the state
-    /// each handler would have seen serially; phase B then replays the
-    /// handlers in the original (time, seq) order consuming the stage.
-    fn handle_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Vec<Ev>,
-        pool: &simkit::ExecPool,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        // ~1.1 events per timestamp on the paper workload: make the
-        // overwhelmingly common singleton batch cost exactly one dispatch.
-        if batch.len() == 1 {
-            let ev = batch.pop().expect("len checked");
-            self.handle(now, ev, sched);
-            return;
-        }
-        let compute = self.cfg.cluster.compute_nodes;
-        let mut seen = std::mem::take(&mut self.server.run_seen);
-        let mut i = 0;
-        while i < batch.len() {
-            seen.clear();
-            let mut end = i;
-            while end < batch.len() {
-                match tick_node(&batch[end], compute) {
-                    Some(node) if !seen.contains(&node) => {
-                        seen.push(node);
-                        end += 1;
-                    }
-                    _ => break,
-                }
-            }
-            if end == i {
-                // Not a tick: handle the barrier event and move on.
-                let ev = batch[i];
-                i += 1;
-                self.handle(now, ev, sched);
-            } else {
-                if end - i >= 2 {
-                    self.stage_ticks(&batch[i..end], now, pool);
-                }
-                for &ev in &batch[i..end] {
-                    self.handle(now, ev, sched);
-                }
-                debug_assert!(
-                    self.server.staged.is_empty(),
-                    "staged completions must drain within their run"
-                );
-                i = end;
-            }
-        }
-        batch.clear();
-        self.server.run_seen = seen;
     }
 }
 

@@ -6,11 +6,9 @@
 //! assembles the final [`RunMetrics`] from the drained world.
 //!
 //! Unlike the other subsystems the telemetry component handles exactly one
-//! routed event, the periodic [`Ev::Sample`] tick. The tick lives on the
-//! global lane, so under the parallel executor it is a batch barrier and
-//! reads the same consistent world state the serial executor would — the
-//! timeline is byte-identical across `ExecMode`s and thread counts. The
-//! handler only *reads* simulated state (queues, slots, supervisors,
+//! routed event, the periodic [`Ev::Sample`] tick. It is dispatched in the
+//! run's one total event order, so it reads a consistent world state and
+//! the timeline is byte-identical across replays of a run. The handler only *reads* simulated state (queues, slots, supervisors,
 //! runtimes, fabric) and only *writes* observer state, which no simulated
 //! path reads back, so enabling observability never changes scheme results.
 

@@ -16,8 +16,8 @@
 //! [`PolicyContext`] and the sequence of [`PolicyInput`]s it has observed.
 //! It must not consult wall clocks, random sources or iteration orders
 //! outside `BTreeMap`/`BTreeSet` — the driver replays the same input
-//! sequence under the serial and sharded-parallel executors and pins the
-//! resulting [`RunMetrics`](crate::driver::RunMetrics) byte-identically
+//! sequence on every run and pins the resulting
+//! [`RunMetrics`](crate::driver::RunMetrics) byte-identically
 //! (`tests/policy_arena.rs`).
 //!
 //! Each decision round observes exactly what the paper's CE sees — the

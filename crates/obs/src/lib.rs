@@ -26,10 +26,9 @@
 //!
 //! Everything recorded through an [`Observer`] is a pure function of
 //! simulation state at simulation timestamps: samples are driven by a
-//! periodic event on the simulation's global lane, and the registry iterates
-//! in key order. Two runs of the same configuration produce byte-identical
-//! Prometheus snapshots and JSONL timelines regardless of executor mode or
-//! thread count. Wall-clock profiling lives in `simkit::executor`, entirely
+//! periodic simulation event, and the registry iterates in key order. Two
+//! runs of the same configuration produce byte-identical Prometheus
+//! snapshots and JSONL timelines. Wall-clock profiling lives in `simkit::executor`, entirely
 //! outside this crate's event-driven state.
 
 pub mod export;

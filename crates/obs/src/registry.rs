@@ -4,8 +4,7 @@
 //! Keys are `&'static str` pairs plus a small copyable [`Label`], so the hot
 //! increment path performs no allocation; lookup is a `BTreeMap` walk, which
 //! also gives the registry a stable, deterministic iteration order — the
-//! Prometheus snapshot is byte-identical for identical simulations regardless
-//! of execution mode or thread count.
+//! Prometheus snapshot is byte-identical for identical simulations.
 //!
 //! The registry is plain owned state (no interior mutability, no globals),
 //! matching simkit's determinism rules: whoever owns the world owns its

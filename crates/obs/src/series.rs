@@ -2,9 +2,9 @@
 //!
 //! A [`SampleRecord`] is one row of the timeline: the simulation time plus a
 //! vector of per-server observations ([`ServerSample`]). Samples are taken by
-//! the driver's telemetry subsystem on a periodic `Sample` event scheduled on
-//! the global lane, so the series is a pure function of simulation state and
-//! byte-identical across serial and parallel execution.
+//! the driver's telemetry subsystem on a periodic `Sample` event, so the
+//! series is a pure function of simulation state and byte-identical across
+//! replays of a run.
 //!
 //! `queue_depth_integral` carries the *cumulative* time-weighted integral of
 //! the disk queue depth (∫ depth dt since t=0) rather than an instantaneous

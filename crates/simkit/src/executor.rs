@@ -3,20 +3,10 @@
 //! A simulation is a [`World`] (all model state) plus a [`Scheduler`]
 //! (the event queue and the clock). The world's `handle` method receives each
 //! event in timestamp order and may schedule further events.
-//!
-//! Two executors share that contract:
-//!
-//! * [`Simulation`] — the classic serial loop over a monolithic
-//!   [`EventQueue`], one event per step.
-//! * [`ParallelSimulation`] — a batch loop over a sharded [`LaneQueue`]
-//!   (requires `Event: Laned`): each step drains *every* event of the
-//!   earliest timestamp and hands the batch to [`BatchWorld::handle_batch`]
-//!   together with a rayon pool, so worlds can run independent per-server
-//!   work concurrently while keeping results bit-identical to the serial
-//!   executor (see `lane.rs` and DESIGN.md §8).
+//! [`Simulation`] is the one executor: a serial loop over an
+//! [`EventQueue`], one event per step.
 
 use crate::event::EventQueue;
-use crate::lane::{Lane, LaneQueue, Laned, LookaheadStats};
 use crate::time::{SimSpan, SimTime};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -30,81 +20,12 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// A [`World`] that can additionally consume a whole same-timestamp batch,
-/// typically to fan independent per-server work out on `pool`.
-///
-/// The default implementation dispatches the batch serially in (time, seq)
-/// order, which is *definitionally* identical to [`Simulation`]; overriding
-/// worlds must preserve that equivalence (the driver's two-phase tick
-/// staging does — see DESIGN.md §8).
-pub trait BatchWorld: World {
-    fn handle_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Vec<Self::Event>,
-        _pool: &ExecPool,
-        sched: &mut Scheduler<Self::Event>,
-    ) {
-        for event in batch.drain(..) {
-            self.handle(now, event, sched);
-        }
-    }
-}
-
-/// A lazily-built rayon pool handed to [`BatchWorld::handle_batch`].
-///
-/// The worker count is resolved at construction, but the OS threads spawn
-/// only on the first [`ExecPool::get`] — a run whose every batch takes the
-/// small-run bypass (all runs on a 1-core host) never pays for thread
-/// creation at all.
-pub struct ExecPool {
-    threads: usize,
-    pool: std::sync::OnceLock<rayon::ThreadPool>,
-}
-
-impl ExecPool {
-    /// Resolve `threads` (`0` = one worker per available core) without
-    /// building anything.
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        ExecPool {
-            threads,
-            pool: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Number of workers the pool has (or would have once built). Batch
-    /// worlds use this for their pool-bypass decision without forcing the
-    /// threads into existence.
-    pub fn workers(&self) -> usize {
-        self.threads
-    }
-
-    /// The rayon pool itself, spawning its worker threads on first use.
-    pub fn get(&self) -> &rayon::ThreadPool {
-        self.pool.get_or_init(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("worker threads spawn")
-        })
-    }
-}
-
 /// Wall-clock cost of dispatching one event label.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct DispatchStat {
     /// Events dispatched under this label.
     pub events: u64,
     /// Total wall-clock seconds spent in `World::handle` for this label.
-    /// Stays zero under the parallel executor, where only whole batches are
-    /// timed (per-event timing inside a concurrent batch would be noise).
     pub wall_secs: f64,
 }
 
@@ -117,27 +38,8 @@ pub struct DispatchStat {
 /// event routes to.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ExecProfile {
-    /// Per-label dispatch counts and (serial-mode) wall time.
+    /// Per-label dispatch counts and wall time.
     pub dispatch: BTreeMap<&'static str, DispatchStat>,
-    /// Same-timestamp batches executed (parallel executor only).
-    pub batches: u64,
-    /// Events dispatched through batches (parallel executor only).
-    pub batch_events: u64,
-    /// Total wall-clock seconds spent inside `handle_batch`.
-    pub batch_wall_secs: f64,
-    /// Events that missed both the lane append fast path and the bounded
-    /// sorted-insert (filled by callers from [`Scheduler::spilled_count`];
-    /// always 0 for the heap backend).
-    pub queue_spilled: u64,
-    /// Lookahead-window counters (filled by callers from
-    /// [`Scheduler::lookahead_stats`]; all-zero for the heap backend).
-    pub lookahead: LookaheadStats,
-    /// Tick-staging batches fanned out on the thread pool (filled by the
-    /// batch world; the driver counts its two-phase stagings here).
-    pub pool_staged: u64,
-    /// Tick-staging batches run inline because they were below the adaptive
-    /// pool-bypass threshold (filled by the batch world).
-    pub pool_bypassed: u64,
 }
 
 impl ExecProfile {
@@ -147,23 +49,12 @@ impl ExecProfile {
         s.wall_secs += secs;
     }
 
-    fn count(&mut self, label: &'static str) {
-        self.dispatch.entry(label).or_default().events += 1;
-    }
-
-    fn record_batch(&mut self, events: u64, secs: f64) {
-        self.batches += 1;
-        self.batch_events += events;
-        self.batch_wall_secs += secs;
-    }
-
     /// Total events across all labels.
     pub fn total_events(&self) -> u64 {
         self.dispatch.values().map(|s| s.events).sum()
     }
 
-    /// Total wall seconds across all labels (serial) — see
-    /// [`ExecProfile::batch_wall_secs`] for the parallel equivalent.
+    /// Total wall seconds across all labels.
     pub fn total_wall_secs(&self) -> f64 {
         self.dispatch.values().map(|s| s.wall_secs).sum()
     }
@@ -184,17 +75,6 @@ impl<E> Profiler<E> {
     }
 }
 
-/// The pending-event store behind a [`Scheduler`]: one monolithic heap, or
-/// per-server lanes with a deterministic merge. Pop order is identical.
-// One Backend lives per scheduler, never in collections, so the size gap
-// between the two variants costs nothing worth an indirection on every
-// queue access.
-#[allow(clippy::large_enum_variant)]
-enum Backend<E> {
-    Heap(EventQueue<E>),
-    Lanes(LaneQueue<E>),
-}
-
 /// Handle to one scheduled event, returned by [`Scheduler::at_cancellable`]
 /// and consumed by [`Scheduler::cancel`]. Wraps the event's global seq.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,7 +83,7 @@ pub struct EventHandle(u64);
 /// The clock plus the pending-event queue, handed to the world on every event.
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: Backend<E>,
+    queue: EventQueue<E>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -216,16 +96,7 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: Backend::Heap(EventQueue::new()),
-        }
-    }
-
-    /// A scheduler backed by a sharded [`LaneQueue`] with an explicit
-    /// lane-key function. Pop order is identical to [`Scheduler::new`].
-    pub fn with_lanes(lane_of: fn(&E) -> Lane) -> Self {
-        Scheduler {
-            now: SimTime::ZERO,
-            queue: Backend::Lanes(LaneQueue::new(lane_of)),
+            queue: EventQueue::new(),
         }
     }
 
@@ -251,11 +122,7 @@ impl<E> Scheduler<E> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        let seq = match &mut self.queue {
-            Backend::Heap(q) => q.push(at, event),
-            Backend::Lanes(q) => q.push(at, event),
-        };
-        EventHandle(seq)
+        EventHandle(self.queue.push(at, event))
     }
 
     /// Revoke a pending event: it is tombstoned in place and will never be
@@ -266,10 +133,7 @@ impl<E> Scheduler<E> {
     /// accounting. Holders of a handle therefore clear it the moment the
     /// event fires.
     pub fn cancel(&mut self, handle: EventHandle) {
-        match &mut self.queue {
-            Backend::Heap(q) => q.cancel(handle.0),
-            Backend::Lanes(q) => q.cancel(handle.0),
-        }
+        self.queue.cancel(handle.0);
     }
 
     /// Schedule `event` after a delay of `span`.
@@ -289,100 +153,35 @@ impl<E> Scheduler<E> {
     }
 
     pub fn pending(&self) -> usize {
-        match &self.queue {
-            Backend::Heap(q) => q.len(),
-            Backend::Lanes(q) => q.len(),
-        }
+        self.queue.len()
     }
 
     /// Total number of events ever scheduled.
     pub fn scheduled_count(&self) -> u64 {
-        match &self.queue {
-            Backend::Heap(q) => q.scheduled_count(),
-            Backend::Lanes(q) => q.scheduled_count(),
-        }
+        self.queue.scheduled_count()
     }
 
     /// Total number of events ever dispatched.
     pub fn dispatched_count(&self) -> u64 {
-        match &self.queue {
-            Backend::Heap(q) => q.dispatched_count(),
-            Backend::Lanes(q) => q.dispatched_count(),
-        }
-    }
-
-    /// Number of out-of-order pushes that landed in lane spill heaps
-    /// (always 0 for the monolithic heap backend). A cheap health signal:
-    /// high spill rates mean the per-lane FIFO fast path is being defeated.
-    pub fn spilled_count(&self) -> u64 {
-        match &self.queue {
-            Backend::Heap(_) => 0,
-            Backend::Lanes(q) => q.spilled_count(),
-        }
+        self.queue.dispatched_count()
     }
 
     /// Total number of events ever cancelled.
     pub fn cancelled_count(&self) -> u64 {
-        match &self.queue {
-            Backend::Heap(q) => q.cancelled_count(),
-            Backend::Lanes(q) => q.cancelled_count(),
-        }
-    }
-
-    /// Lookahead-window counters (all-zero for the heap backend, which has
-    /// no window).
-    pub fn lookahead_stats(&self) -> LookaheadStats {
-        match &self.queue {
-            Backend::Heap(_) => LookaheadStats::default(),
-            Backend::Lanes(q) => q.lookahead_stats(),
-        }
-    }
-
-    /// Seed the lane queue's adaptive lookahead horizon (nanoseconds).
-    /// Purely a performance hint — dispatch order is identical for any
-    /// value. No-op for the heap backend.
-    pub fn set_lookahead_horizon(&mut self, ns: u64) {
-        if let Backend::Lanes(q) = &mut self.queue {
-            q.set_lookahead_horizon(ns);
-        }
+        self.queue.cancelled_count()
     }
 
     /// Timestamp of the earliest pending event, if any.
     fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            Backend::Heap(q) => q.peek_time(),
-            Backend::Lanes(q) => q.peek_time(),
-        }
+        self.queue.peek_time()
     }
 
     /// Pop the earliest event and advance the clock to it.
     fn pop_event(&mut self) -> Option<(SimTime, E)> {
-        let (t, ev) = match &mut self.queue {
-            Backend::Heap(q) => q.pop(),
-            Backend::Lanes(q) => q.pop(),
-        }?;
+        let (t, ev) = self.queue.pop()?;
         debug_assert!(t >= self.now);
         self.now = t;
         Some((t, ev))
-    }
-
-    /// Pop *every* event of the earliest timestamp into `out` (in (time,
-    /// seq) order), advance the clock to it, and return it.
-    fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let t = match &mut self.queue {
-            Backend::Heap(q) => {
-                let (t, ev) = q.pop()?;
-                out.push(ev);
-                while q.peek_time() == Some(t) {
-                    out.push(q.pop().expect("peeked entry").1);
-                }
-                t
-            }
-            Backend::Lanes(q) => q.pop_batch(out)?,
-        };
-        debug_assert!(t >= self.now);
-        self.now = t;
-        Some(t)
     }
 }
 
@@ -462,130 +261,9 @@ impl<W: World> Simulation<W> {
     }
 }
 
-/// Drives a [`BatchWorld`] over a sharded [`LaneQueue`], one whole
-/// timestamp per step, with a rayon pool for intra-batch parallelism.
-///
-/// Results are bit-identical to [`Simulation`] at any thread count: the
-/// lane queue reproduces the heap's exact pop order, and `handle_batch`
-/// implementations are required to preserve serial-equivalent semantics.
-pub struct ParallelSimulation<W: BatchWorld>
-where
-    W::Event: Laned,
-{
-    pub world: W,
-    sched: Scheduler<W::Event>,
-    pool: ExecPool,
-    scratch: Vec<W::Event>,
-    profiler: Option<Profiler<W::Event>>,
-}
-
-impl<W: BatchWorld> ParallelSimulation<W>
-where
-    W::Event: Laned,
-{
-    /// One worker per available core (a single worker on 1-core hosts).
-    pub fn new(world: W) -> Self {
-        Self::with_threads(world, 0)
-    }
-
-    /// Explicit worker count; `0` means one per available core. Worker
-    /// threads spawn lazily, on the first batch a world actually pools.
-    pub fn with_threads(world: W, threads: usize) -> Self {
-        let pool = ExecPool::new(threads);
-        ParallelSimulation {
-            world,
-            sched: Scheduler::with_lanes(<W::Event as Laned>::lane),
-            pool,
-            scratch: Vec::new(),
-            profiler: None,
-        }
-    }
-
-    /// Count event labels and measure wall-clock time per same-timestamp
-    /// batch. Purely observational — the event stream is untouched. Per-label
-    /// wall time is not collected in batch mode (see [`DispatchStat`]).
-    pub fn enable_profiling(&mut self, label_of: fn(&W::Event) -> &'static str) {
-        self.profiler = Some(Profiler::new(label_of));
-    }
-
-    /// Take the accumulated profile (if profiling was enabled).
-    pub fn take_profile(&mut self) -> Option<ExecProfile> {
-        self.profiler.take().map(|p| p.profile)
-    }
-
-    /// Access the scheduler, e.g. to seed initial events before running.
-    pub fn scheduler(&mut self) -> &mut Scheduler<W::Event> {
-        &mut self.sched
-    }
-
-    pub fn now(&self) -> SimTime {
-        self.sched.now
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Seed the lane queue's adaptive lookahead horizon (nanoseconds) — a
-    /// performance hint only; results are bit-identical for any value.
-    pub fn set_lookahead_horizon(&mut self, ns: u64) {
-        self.sched.set_lookahead_horizon(ns);
-    }
-
-    /// Dispatch one whole timestamp. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let mut batch = std::mem::take(&mut self.scratch);
-        batch.clear();
-        let stepped = match self.sched.pop_batch(&mut batch) {
-            Some(t) => {
-                match &mut self.profiler {
-                    Some(p) => {
-                        for ev in batch.iter() {
-                            p.profile.count((p.label_of)(ev));
-                        }
-                        let n = batch.len() as u64;
-                        let t0 = Instant::now();
-                        self.world
-                            .handle_batch(t, &mut batch, &self.pool, &mut self.sched);
-                        p.profile.record_batch(n, t0.elapsed().as_secs_f64());
-                    }
-                    None => {
-                        self.world
-                            .handle_batch(t, &mut batch, &self.pool, &mut self.sched);
-                    }
-                }
-                debug_assert!(batch.is_empty(), "handle_batch must drain its batch");
-                true
-            }
-            None => false,
-        };
-        self.scratch = batch;
-        stepped
-    }
-
-    /// Run until no events remain. Returns the final simulation time.
-    pub fn run(&mut self) -> SimTime {
-        while self.step() {}
-        self.sched.now
-    }
-
-    /// Run until no events remain or the clock passes `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.sched.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::Lane;
 
     /// A world that re-schedules a decrementing counter.
     struct Countdown {
@@ -741,26 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_profiling_counts_batches() {
-        let world = PingWorld {
-            rounds: 10,
-            servers: 4,
-            order: vec![],
-        };
-        let mut sim = ParallelSimulation::with_threads(world, 2);
-        sim.enable_profiling(|_| "ping");
-        for s in 0..4 {
-            sim.scheduler().at(SimTime::ZERO, Ping(s));
-        }
-        sim.run();
-        let prof = sim.take_profile().expect("profile collected");
-        assert_eq!(prof.dispatch["ping"].events, prof.batch_events);
-        assert!(prof.batches > 0);
-        assert_eq!(prof.dispatch["ping"].wall_secs, 0.0);
-        assert_eq!(sim.scheduler().spilled_count(), 0);
-    }
-
-    #[test]
     fn cancelled_event_is_not_dispatched() {
         struct Rec(Vec<&'static str>);
         impl World for Rec {
@@ -792,260 +450,5 @@ mod tests {
         sim.run();
         assert_eq!(sim.scheduler().scheduled_count(), 3);
         assert_eq!(sim.scheduler().dispatched_count(), 3);
-    }
-
-    // ----- parallel executor -----
-
-    /// Per-server ping events, recorded in dispatch order.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Ping(usize);
-
-    impl Laned for Ping {
-        fn lane(&self) -> Lane {
-            if self.0 == 0 {
-                Lane::Global
-            } else {
-                Lane::Server(self.0 - 1)
-            }
-        }
-    }
-
-    struct PingWorld {
-        rounds: u32,
-        servers: usize,
-        order: Vec<(SimTime, usize)>,
-    }
-
-    impl World for PingWorld {
-        type Event = Ping;
-        fn handle(&mut self, now: SimTime, ev: Ping, sched: &mut Scheduler<Ping>) {
-            self.order.push((now, ev.0));
-            if self.rounds > 0 {
-                if ev.0 == self.servers - 1 {
-                    self.rounds -= 1;
-                }
-                sched.after(SimSpan::from_nanos(100), ev);
-            }
-        }
-    }
-
-    impl BatchWorld for PingWorld {}
-
-    fn ping_order(threads: usize) -> Vec<(SimTime, usize)> {
-        let world = PingWorld {
-            rounds: 50,
-            servers: 8,
-            order: vec![],
-        };
-        let mut sim = ParallelSimulation::with_threads(world, threads);
-        for s in 0..8 {
-            sim.scheduler().at(SimTime::ZERO, Ping(s));
-        }
-        sim.run();
-        sim.world.order
-    }
-
-    #[test]
-    fn parallel_executor_matches_serial_dispatch_order() {
-        let world = PingWorld {
-            rounds: 50,
-            servers: 8,
-            order: vec![],
-        };
-        let mut serial = Simulation::new(world);
-        for s in 0..8 {
-            serial.scheduler().at(SimTime::ZERO, Ping(s));
-        }
-        serial.run();
-        assert_eq!(serial.world.order, ping_order(1));
-        assert_eq!(serial.world.order, ping_order(2));
-        assert_eq!(serial.world.order, ping_order(8));
-    }
-
-    #[test]
-    fn parallel_run_until_respects_deadline() {
-        let world = PingWorld {
-            rounds: 1_000,
-            servers: 4,
-            order: vec![],
-        };
-        let mut sim = ParallelSimulation::with_threads(world, 2);
-        for s in 0..4 {
-            sim.scheduler().at(SimTime::ZERO, Ping(s));
-        }
-        sim.run_until(SimTime::from_nanos(250));
-        // Timestamps 0, 100, 200 → 3 batches of 4 events.
-        assert_eq!(sim.world.order.len(), 12);
-        assert!(sim.scheduler().pending() > 0);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::lane::{Lane, Laned};
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
-
-    /// What handling an event does: where its follow-ups land and whether it
-    /// revokes a pending future event.
-    #[derive(Debug, Clone, Copy)]
-    struct Row {
-        lane: u8,
-        delay_a: u64,
-        delay_b: Option<u64>,
-        cancel: bool,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct Step {
-        id: usize,
-        lane: u8,
-    }
-
-    impl Laned for Step {
-        fn lane(&self) -> Lane {
-            match self.lane {
-                0 => Lane::Global,
-                k => Lane::Server((k - 1) as usize),
-            }
-        }
-    }
-
-    /// A world whose behaviour is a pure function of a script, so any two
-    /// executors that dispatch in the same order evolve identically.
-    struct ScriptWorld {
-        script: Vec<Row>,
-        next_id: usize,
-        budget: usize,
-        /// Handles of scheduled-but-unfired follow-ups, cleared on dispatch
-        /// (the same discipline the driver uses for `net_armed`).
-        pending: BTreeMap<usize, (SimTime, EventHandle)>,
-        order: Vec<(SimTime, usize)>,
-    }
-
-    impl ScriptWorld {
-        fn new(script: Vec<Row>, budget: usize, seeds: usize) -> Self {
-            ScriptWorld {
-                script,
-                next_id: seeds,
-                budget,
-                pending: BTreeMap::new(),
-                order: vec![],
-            }
-        }
-
-        fn row(&self, id: usize) -> Row {
-            self.script[id % self.script.len()]
-        }
-    }
-
-    impl World for ScriptWorld {
-        type Event = Step;
-        fn handle(&mut self, now: SimTime, ev: Step, sched: &mut Scheduler<Step>) {
-            self.order.push((now, ev.id));
-            self.pending.remove(&ev.id);
-            let row = self.row(ev.id);
-            if row.cancel {
-                // Batch worlds may only cancel *strictly future* events —
-                // same-instant peers are already popped into the batch. A
-                // future victim may still sit inside the lookahead window,
-                // which is the path this exercises.
-                let victim = self
-                    .pending
-                    .iter()
-                    .find(|(_, (t, _))| *t > now)
-                    .map(|(&id, _)| id);
-                if let Some(id) = victim {
-                    let (_, h) = self.pending.remove(&id).expect("keyed");
-                    sched.cancel(h);
-                }
-            }
-            for delay in [Some(row.delay_a), row.delay_b].into_iter().flatten() {
-                if self.budget == 0 {
-                    break;
-                }
-                self.budget -= 1;
-                let id = self.next_id;
-                self.next_id += 1;
-                let lane = self.row(id).lane;
-                let at = now + SimSpan::from_nanos(delay);
-                let h = sched.at_cancellable(at, Step { id, lane });
-                self.pending.insert(id, (at, h));
-            }
-        }
-    }
-
-    impl BatchWorld for ScriptWorld {}
-
-    fn rows() -> impl Strategy<Value = Vec<(u8, u64, Option<u64>, bool)>> {
-        proptest::collection::vec(
-            (
-                0u8..5,
-                0u64..60,
-                (0u64..120).prop_map(|v| if v < 60 { Some(v) } else { None }),
-                (0u8..2).prop_map(|b| b == 1),
-            ),
-            1..16,
-        )
-    }
-
-    fn run_script(
-        script: &[Row],
-        threads: Option<usize>,
-        horizon: u64,
-    ) -> (Vec<(SimTime, usize)>, u64) {
-        let seeds = script.len().min(3);
-        let world = ScriptWorld::new(script.to_vec(), 150, seeds);
-        let seed_evs: Vec<Step> = (0..seeds)
-            .map(|i| Step {
-                id: i,
-                lane: script[i].lane,
-            })
-            .collect();
-        match threads {
-            None => {
-                let mut sim = Simulation::new(world);
-                for (i, ev) in seed_evs.into_iter().enumerate() {
-                    sim.scheduler().at(SimTime::from_nanos(7 * i as u64), ev);
-                }
-                sim.run();
-                let n = sim.scheduler().dispatched_count();
-                (sim.world.order, n)
-            }
-            Some(t) => {
-                let mut sim = ParallelSimulation::with_threads(world, t);
-                sim.set_lookahead_horizon(horizon);
-                for (i, ev) in seed_evs.into_iter().enumerate() {
-                    sim.scheduler().at(SimTime::from_nanos(7 * i as u64), ev);
-                }
-                sim.run();
-                let n = sim.scheduler().dispatched_count();
-                (sim.world.order, n)
-            }
-        }
-    }
-
-    proptest! {
-        /// Windowed batch execution is bit-identical to the serial executor
-        /// for arbitrary scripted worlds (cascading follow-ups, zero-delay
-        /// re-schedules, future-event cancels) across lookahead horizons and
-        /// thread counts.
-        #[test]
-        fn windowed_execution_matches_serial(
-            rows_raw in rows(),
-            horizon in (0u64..4).prop_map(|k| [0, 13, 40, 1_000_000][k as usize]),
-        ) {
-            let script: Vec<Row> = rows_raw
-                .into_iter()
-                .map(|(lane, delay_a, delay_b, cancel)| Row { lane, delay_a, delay_b, cancel })
-                .collect();
-            let (serial_order, serial_n) = run_script(&script, None, 0);
-            for threads in [1, 2, 8] {
-                let (order, n) = run_script(&script, Some(threads), horizon);
-                prop_assert_eq!(&order, &serial_order, "threads={}", threads);
-                prop_assert_eq!(n, serial_n, "threads={}", threads);
-            }
-        }
     }
 }

@@ -10,11 +10,6 @@
 //! * [`executor`] — the [`executor::World`] trait and run loop.
 //! * [`component`] — [`component::Component`]/[`component::Routed`]: split a
 //!   world into event-routed subsystems without changing its event schedule.
-//! * [`lane`] — [`lane::LaneQueue`]/[`lane::Laned`]: the event queue sharded
-//!   into per-server lanes and batched through an adaptive lookahead window;
-//!   order-identical to [`event::EventQueue`] but with O(1) lane operations
-//!   and alloc-free whole-timestamp batch pops, the substrate for
-//!   [`ParallelSimulation`].
 //! * [`share`] — a generalized processor-sharing resource with max-min fair
 //!   allocation and epoch-based completion-event invalidation; models
 //!   multi-core CPUs and fair-share network links.
@@ -37,15 +32,14 @@
 //!   "next interesting time" queries plus an *epoch*; the world schedules a
 //!   tick carrying the epoch and ignores the tick if the epoch moved on.
 //!   Worlds that track their pending tick can additionally revoke a
-//!   superseded one via [`Scheduler::cancel`] (lazy tombstones in both
-//!   queue backends), so stale ticks need not be dispatched at all.
+//!   superseded one via [`Scheduler::cancel`] (a lazy tombstone in the
+//!   queue), so stale ticks need not be dispatched at all.
 
 pub mod component;
 pub mod event;
 pub mod executor;
 pub mod fault;
 pub mod fifo;
-pub mod lane;
 pub mod rng;
 pub mod share;
 pub mod span;
@@ -54,13 +48,9 @@ pub mod time;
 
 pub use component::{Component, Routed};
 pub use event::EventQueue;
-pub use executor::{
-    BatchWorld, DispatchStat, EventHandle, ExecPool, ExecProfile, ParallelSimulation, Scheduler,
-    Simulation, World,
-};
+pub use executor::{DispatchStat, EventHandle, ExecProfile, Scheduler, Simulation, World};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fifo::FifoServer;
-pub use lane::{Lane, LaneQueue, Laned, LookaheadStats};
 pub use rng::RngFactory;
 pub use share::{ShareResource, TaskId};
 pub use span::{Hop, SpanChain};

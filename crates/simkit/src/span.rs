@@ -26,7 +26,7 @@
 //! The chain is generic over the hop-kind type `K` and the wait-cause type
 //! `C`; simkit attaches no meaning to either. Determinism is inherited
 //! from the caller: hops are recorded inside event handlers, which the
-//! executors replay in an identical total order on every backend.
+//! executor dispatches in one deterministic total order.
 
 use crate::SimTime;
 use serde::Serialize;

@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
 # Benchmark path: runs the criterion suites in crates/bench/benches/ and
-# regenerates the committed machine-readable executor baseline
+# regenerates the committed machine-readable engine baseline
 # (BENCH_simulator.json at the repo root). Run from the repo root.
 #
 # The simulator suite includes the `fabric_churn` group (incremental vs
-# full-rescan water-filling under flow churn at 64 / 1024 / 8192 flows) and
-# the three-point `driver_exec_mode` group (paper-testbed, 512-rank /
-# 64-server and 4096-rank / 256-server scales, events/sec in both modes);
-# bench_baseline emits the same comparisons into BENCH_simulator.json
-# (schema v7, including the multi-tenant scenario suite of
-# crates/bench/src/scenarios.rs, the lookahead-window statistics of
-# DESIGN.md §13 and the fat-tree fill-scaling points of DESIGN.md §15 —
-# the 10k-host topology point makes the baseline refresh take several
-# extra minutes).
+# full-rescan water-filling under flow churn at 64 / 1024 / 8192 flows);
+# bench_baseline emits the same comparison into BENCH_simulator.json
+# (schema v8, including the multi-tenant scenario suite of
+# crates/bench/src/scenarios.rs and the fat-tree fill-scaling points of
+# DESIGN.md §15 — the 10k-host topology point makes the baseline refresh
+# take several extra minutes).
 #
 #   scripts/bench.sh            # everything (criterion suites are slow)
 #   scripts/bench.sh baseline   # just refresh BENCH_simulator.json

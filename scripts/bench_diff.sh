@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Benchmark drift report: regenerate the executor baseline into a temp
+# Benchmark drift report: regenerate the engine baseline into a temp
 # file and diff it against the committed BENCH_simulator.json, section by
 # section. Timing metrics are reported as fresh/committed ratios (>1 is
-# slower); deterministic counters (events, windows, spills) are checked
+# slower); deterministic counters (events, fills, flows) are checked
 # for exact equality — a changed counter means the *simulation* changed,
 # not the machine, and deserves a look before re-baselining.
 #
@@ -68,12 +68,6 @@ def points(section, key_field, time_keys, counter_keys=()):
 if committed["schema"] != fresh["schema"]:
     print(f"schema changed: {committed['schema']} -> {fresh['schema']}")
 
-points("tick_dispatch", "servers", ["heap_secs", "sharded_secs"])
-points("driver", "label", ["serial_secs", "parallel_secs"],
-       ["events", "events_cancelled"])
-points("lookahead", "label", [],
-       ["windows", "window_events", "undercuts", "drains",
-        "queue_spilled", "batches", "batch_events"])
 points("fabric_churn", "flows", ["full_rescan_secs", "incremental_secs"],
        ["churn_ops", "fills", "flows_refilled", "flows_reused"])
 points("topology", "hosts",
@@ -98,12 +92,11 @@ for k, old in old_cells.items():
               f"{old['makespan_secs']} -> {new['makespan_secs']}  <-- OUTCOME DRIFT")
 
 print("[profile]")
-for mode in ("serial", "parallel"):
-    old_d = committed["profile"][mode]["dispatch"]
-    new_d = fresh["profile"][mode]["dispatch"]
-    for sub in old_d:
-        counter("profile", f"{mode}.{sub}.events",
-                old_d[sub]["events"], new_d.get(sub, {}).get("events"))
+old_d = committed["profile"]["serial"]["dispatch"]
+new_d = fresh["profile"]["serial"]["dispatch"]
+for sub in old_d:
+    counter("profile", f"serial.{sub}.events",
+            old_d[sub]["events"], new_d.get(sub, {}).get("events"))
 
 if failures:
     print(f"\nbench_diff: {len(failures)} finding(s):")

@@ -68,14 +68,16 @@ OPTIONS:
     --trace <path>       write a chrome://tracing timeline (last scheme)
     --obs-out <dir>      enable observability and write metrics.prom,
                          timeline.jsonl, trace.json and profile.json
-                         (executor counters) into <dir>
+                         (per-subsystem dispatch counts and wall time)
+                         into <dir>
                          (last scheme; directory is created if absent)
     --autopsy <dir>      enable per-request causal tracing and write the
                          contention-attribution report (autopsy.txt,
                          autopsy.json) into <dir> for each scheme
     --check-obs <dir>    validate a previously written --obs-out directory
                          (Prometheus snapshot parses, timeline round-trips
-                         through serde) and exit
+                         through serde, profile counts dispatched events)
+                         and exit
     -h, --help           this text
 ";
 
@@ -157,7 +159,29 @@ fn parse_args() -> Result<Args, String> {
     if args.n == 0 || args.size_mb == 0 || args.storage_nodes == 0 {
         return Err("--n, --size-mb and --storage-nodes must be positive".into());
     }
+    // Reject an unbuildable cluster before anything reaches stdout.
+    cluster_config(&args)
+        .validate()
+        .map_err(|e| match &args.topology {
+            Some(topo) => format!("--topology {topo}: {e}"),
+            None => format!("cluster: {e}"),
+        })?;
     Ok(args)
+}
+
+/// The cluster every scheme of the run shares: the paper's testbed (or its
+/// jitter-free variant) resized and rewired by the command line.
+fn cluster_config(args: &Args) -> ClusterConfig {
+    let mut cluster = if args.deterministic {
+        ClusterConfig::deterministic()
+    } else {
+        ClusterConfig::discfarm()
+    };
+    cluster.storage_nodes = args.storage_nodes;
+    if let Some(topo) = &args.topology {
+        cluster.topology = topo.clone();
+    }
+    cluster
 }
 
 fn params_for(op: &str) -> KernelParams {
@@ -221,17 +245,7 @@ fn main() {
     }
     for scheme in &args.schemes {
         let mut cfg = DriverConfig::paper(scheme.clone());
-        if args.deterministic {
-            cfg.cluster = ClusterConfig::deterministic();
-        }
-        cfg.cluster.storage_nodes = args.storage_nodes;
-        if let Some(topo) = &args.topology {
-            cfg.cluster.topology = topo.clone();
-            if let Err(e) = cfg.cluster.validate() {
-                eprintln!("error: --topology {topo}: {e}");
-                exit(2);
-            }
-        }
+        cfg.cluster = cluster_config(&args);
         cfg.seed = args.seed;
         cfg.trace = args.trace.is_some() || args.obs_out.is_some();
         if args.obs_out.is_some() {
@@ -240,7 +254,7 @@ fn main() {
         cfg.autopsy = args.autopsy.is_some();
         let label = scheme_label(scheme);
         let (m, profile) = if args.obs_out.is_some() {
-            let (m, p) = Driver::run_profiled(cfg, &workload, ExecMode::from_env());
+            let (m, p) = Driver::run_profiled(cfg, &workload, ExecMode::Serial);
             (m, Some(p))
         } else {
             (Driver::run(cfg, &workload), None)
@@ -301,7 +315,7 @@ fn main() {
 }
 
 /// Write the contention-attribution report for one scheme: `autopsy.txt`
-/// (the deterministic rendered report, byte-identical across executors) and
+/// (the deterministic rendered report, byte-identical across replays) and
 /// `autopsy.json` (the full structured breakdown). Files are prefixed with
 /// the scheme label so a multi-scheme run keeps every report.
 fn write_autopsy_dir(dir: &str, label: &str, m: &RunMetrics, quiet: bool) -> std::io::Result<()> {
@@ -330,7 +344,8 @@ fn write_autopsy_dir(dir: &str, label: &str, m: &RunMetrics, quiet: bool) -> std
 
 /// Write the observability artifacts — `metrics.prom` (Prometheus text
 /// exposition), `timeline.jsonl` (merged samples + events), `trace.json`
-/// (chrome://tracing) and `profile.json` (executor counters) — into `dir`.
+/// (chrome://tracing) and `profile.json` (per-subsystem dispatch counts and
+/// wall time) — into `dir`.
 fn write_obs_dir(
     dir: &str,
     m: &RunMetrics,
@@ -364,8 +379,10 @@ fn write_obs_dir(
 }
 
 /// Validate an `--obs-out` directory: the Prometheus snapshot must pass the
-/// text-exposition checker and every timeline line must round-trip through
-/// serde byte-for-byte. Returns (prometheus sample lines, timeline records).
+/// text-exposition checker, every timeline line must round-trip through
+/// serde byte-for-byte, and the profile must count at least one dispatched
+/// event under every label. Returns (prometheus sample lines, timeline
+/// records).
 fn check_obs_dir(dir: &str) -> Result<(usize, usize), String> {
     let dir = std::path::Path::new(dir);
     let prom = std::fs::read_to_string(dir.join("metrics.prom"))
@@ -394,8 +411,18 @@ fn check_obs_dir(dir: &str) -> Result<(usize, usize), String> {
         .map_err(|e| format!("read profile.json: {e}"))?;
     let p: serde_json::Value =
         serde_json::from_str(&profile).map_err(|e| format!("profile.json: {e}"))?;
-    if p.get("batches").is_none() {
-        return Err("profile.json: missing executor counters".into());
+    let dispatch = p
+        .get("dispatch")
+        .and_then(|d| d.as_object())
+        .filter(|d| !d.is_empty())
+        .ok_or("profile.json: no per-subsystem dispatch counts")?;
+    for (label, stat) in dispatch {
+        let events = stat.get("events").and_then(|e| e.as_u64()).unwrap_or(0);
+        if events == 0 {
+            return Err(format!(
+                "profile.json: dispatch label {label:?} counts no events"
+            ));
+        }
     }
     Ok((samples, lines))
 }

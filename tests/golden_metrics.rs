@@ -99,39 +99,3 @@ fn golden_runs_are_deterministic() {
     let b = serde_json::to_string(&Driver::run(c, &w)).unwrap();
     assert_eq!(a, b);
 }
-
-/// The sharded parallel executor must reproduce the committed snapshots byte
-/// for byte at any thread count — the staged-tick batching and lane merge are
-/// behaviour-preserving, not approximately so.
-#[test]
-fn golden_run_metrics_match_under_parallel_executor() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        return; // snapshots are (re)generated by the serial test above
-    }
-    for (key, scheme) in schemes() {
-        for seed in [1u64, 2, 3] {
-            let path = golden_dir().join(format!("{key}-seed{seed}.json"));
-            let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden snapshot {path:?} ({e}); regenerate with \
-                     UPDATE_GOLDEN=1 cargo test --test golden_metrics"
-                )
-            });
-            for threads in [2usize, 8] {
-                let metrics = Driver::run_with(
-                    cfg(scheme.clone(), seed),
-                    &workload(),
-                    ExecMode::Parallel { threads },
-                );
-                let mut json =
-                    serde_json::to_string_pretty(&metrics).expect("RunMetrics serializes");
-                json.push('\n');
-                assert_eq!(
-                    json, expected,
-                    "{key} seed {seed}: parallel executor ({threads} threads) \
-                     diverged from the serial golden snapshot {path:?}"
-                );
-            }
-        }
-    }
-}

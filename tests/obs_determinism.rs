@@ -4,12 +4,11 @@
 //! Contracts under test (DESIGN.md §9):
 //!
 //! * the merged `timeline.jsonl` document (samples + structured events) is
-//!   **byte-identical** between `ExecMode::Serial` and
-//!   `ExecMode::Parallel { threads }` for any thread count, on a faulted,
-//!   contended workload — sampling rides the event stream (a global-lane
-//!   `Sample` event), so exec mode must not leak into it;
+//!   **byte-identical** across two runs of a faulted, contended workload —
+//!   sampling rides the event stream (a `Sample` event), so nothing outside
+//!   the simulation may leak into it;
 //! * the Prometheus snapshot validates against the text-exposition format
-//!   and is likewise mode-independent;
+//!   and is likewise byte-identical across runs;
 //! * every timeline line round-trips through serde unchanged;
 //! * the sampled cumulative queue-depth integrals reproduce
 //!   `RunMetrics::mean_queue_depth` to within 1e-9 (same float operations
@@ -22,8 +21,8 @@ const MIB: u64 = 1024 * 1024;
 /// Discfarm's storage node (8 compute nodes come first).
 const STORAGE_NODE: usize = 8;
 
-/// Contended + faulted: the same order-sensitive scenario the parallel
-/// determinism suite uses, now with observability enabled.
+/// Contended + faulted: the same order-sensitive scenario the determinism
+/// suite uses, now with observability enabled.
 fn obs_cfg(scheme: Scheme) -> DriverConfig {
     let mut cfg = DriverConfig {
         cluster: ClusterConfig::discfarm(),
@@ -50,46 +49,44 @@ fn workload() -> Workload {
     Workload::uniform_active(6, 1, 48 * MIB, "gaussian2d", KernelParams::with_width(1024))
 }
 
-fn run(scheme: Scheme, mode: ExecMode) -> RunMetrics {
-    Driver::run_with(obs_cfg(scheme), &workload(), mode)
+fn run(scheme: Scheme) -> RunMetrics {
+    Driver::run(obs_cfg(scheme), &workload())
 }
 
 #[test]
-fn timeline_is_byte_identical_across_exec_modes() {
+fn timeline_is_byte_identical_across_replays() {
     for scheme in [Scheme::dosas_default(), Scheme::ActiveStorage] {
-        let serial = run(scheme.clone(), ExecMode::Serial);
-        let reference = serial.obs.as_ref().expect("obs enabled").timeline_jsonl();
+        let first = run(scheme.clone());
+        let reference = first.obs.as_ref().expect("obs enabled").timeline_jsonl();
         assert!(
             reference.lines().count() > 10,
             "scenario must actually produce a timeline"
         );
-        for threads in [2usize, 8] {
-            let parallel = run(scheme.clone(), ExecMode::Parallel { threads });
-            let candidate = parallel.obs.as_ref().expect("obs enabled").timeline_jsonl();
-            assert_eq!(
-                reference, candidate,
-                "scheme {scheme:?}: {threads}-thread timeline diverged from serial"
-            );
-        }
+        let replay = run(scheme.clone());
+        let candidate = replay.obs.as_ref().expect("obs enabled").timeline_jsonl();
+        assert_eq!(
+            reference, candidate,
+            "scheme {scheme:?}: replayed timeline diverged"
+        );
     }
 }
 
 #[test]
-fn prometheus_snapshot_validates_and_is_mode_independent() {
-    let serial = run(Scheme::dosas_default(), ExecMode::Serial);
-    let prom = serial.obs.as_ref().unwrap().to_prometheus();
+fn prometheus_snapshot_validates_and_replays_byte_identically() {
+    let first = run(Scheme::dosas_default());
+    let prom = first.obs.as_ref().unwrap().to_prometheus();
     let samples = obs::validate_prometheus(&prom).expect("snapshot parses");
     assert!(
         samples > 20,
         "expected a real metric surface, got {samples}"
     );
-    let parallel = run(Scheme::dosas_default(), ExecMode::Parallel { threads: 2 });
-    assert_eq!(prom, parallel.obs.as_ref().unwrap().to_prometheus());
+    let replay = run(Scheme::dosas_default());
+    assert_eq!(prom, replay.obs.as_ref().unwrap().to_prometheus());
 }
 
 #[test]
 fn timeline_round_trips_through_serde() {
-    let m = run(Scheme::dosas_default(), ExecMode::Serial);
+    let m = run(Scheme::dosas_default());
     let jsonl = m.obs.as_ref().unwrap().timeline_jsonl();
     for (i, line) in jsonl.lines().enumerate() {
         let rec: TimelineRecord =
@@ -101,7 +98,7 @@ fn timeline_round_trips_through_serde() {
 
 #[test]
 fn sampled_queue_depth_integrals_reproduce_mean_queue_depth() {
-    let m = run(Scheme::dosas_default(), ExecMode::Serial);
+    let m = run(Scheme::dosas_default());
     let report = m.obs.as_ref().unwrap();
     // The final sample is taken at the run's end time inside metric
     // collection, so its cumulative integrals cover the whole run.

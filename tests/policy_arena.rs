@@ -2,8 +2,8 @@
 //! `dosas::policy` — straggler-aware re-striping, the PADLL-style
 //! per-tenant token bucket, and the PI queue-depth governor — runs the
 //! multi-tenant scenario suite deterministically, pins golden `RunMetrics`
-//! snapshots for representative (policy, scenario) cells, and reproduces
-//! every cell bit-for-bit under the sharded parallel executor.
+//! snapshots for representative (policy, scenario) cells, and replays
+//! every cell byte for byte.
 //!
 //! (The default CE policy's own snapshots live in `tests/golden/` under
 //! the pre-existing `golden_metrics` / `tenant_scenarios` tests — this
@@ -38,22 +38,22 @@ fn golden_path(policy: &str, scenario: &str) -> PathBuf {
         .join(format!("policy-{policy}-{scenario}.json"))
 }
 
-fn run_json(policy: &str, scenario: &str, mode: ExecMode) -> String {
+fn run_json(policy: &str, scenario: &str) -> String {
     let s = scenarios::by_name(scenario).expect("pinned scenario exists");
     let p = PolicyConfig::by_name(policy).expect("pinned policy exists");
     let cfg = policy_matrix::with_policy(&s.cfg, p);
-    let m = Driver::run_with(cfg, &s.workload, mode);
+    let m = Driver::run(cfg, &s.workload);
     let mut json = serde_json::to_string_pretty(&m).expect("RunMetrics serializes");
     json.push('\n');
     json
 }
 
-/// Serial golden snapshots, one per pinned (policy, scenario) cell.
+/// Golden snapshots, one per pinned (policy, scenario) cell.
 #[test]
 fn pinned_policy_cells_match_golden_snapshots() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for &(policy, scenario) in PINNED {
-        let json = run_json(policy, scenario, ExecMode::Serial);
+        let json = run_json(policy, scenario);
         let path = golden_path(policy, scenario);
         if update {
             fs::write(&path, &json).expect("write golden snapshot");
@@ -74,54 +74,24 @@ fn pinned_policy_cells_match_golden_snapshots() {
     }
 }
 
-/// The sharded parallel executor reproduces every pinned snapshot byte for
-/// byte — policy state, rate-cap barriers and telemetry included.
+/// Every non-CE policy replays every scenario byte-identically — the full
+/// arena, not just the pinned cells.
 #[test]
-fn pinned_policy_cells_match_under_parallel_executor() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        return; // snapshots are (re)generated by the serial test above
-    }
-    for &(policy, scenario) in PINNED {
-        let path = golden_path(policy, scenario);
-        let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {path:?} ({e}); regenerate with \
-                 UPDATE_GOLDEN=1 cargo test --test policy_arena"
-            )
-        });
-        let json = run_json(policy, scenario, ExecMode::Parallel { threads: 2 });
-        assert_eq!(
-            json, expected,
-            "{policy} x {scenario}: parallel executor diverged from the \
-             serial golden snapshot {path:?}"
-        );
-    }
-}
-
-/// Every non-CE policy replays every scenario bit-identically across the
-/// serial and parallel executors — the full arena, not just the pinned
-/// cells.
-#[test]
-fn every_policy_is_deterministic_across_executors() {
+fn every_policy_replays_every_scenario_byte_identically() {
     for name in PolicyConfig::all_names() {
         if *name == "ce" {
             continue; // pinned by the pre-existing scenario goldens
         }
         for scenario in scenarios::all() {
-            let serial = {
+            let run = || {
                 let p = PolicyConfig::by_name(name).unwrap();
                 let cfg = policy_matrix::with_policy(&scenario.cfg, p);
-                Driver::run_with(cfg, &scenario.workload, ExecMode::Serial)
-            };
-            let parallel = {
-                let p = PolicyConfig::by_name(name).unwrap();
-                let cfg = policy_matrix::with_policy(&scenario.cfg, p);
-                Driver::run_with(cfg, &scenario.workload, ExecMode::Parallel { threads: 2 })
+                serde_json::to_string(&Driver::run(cfg, &scenario.workload)).unwrap()
             };
             assert_eq!(
-                serde_json::to_string(&serial).unwrap(),
-                serde_json::to_string(&parallel).unwrap(),
-                "{} x {}: serial and parallel runs must be bit-identical",
+                run(),
+                run(),
+                "{} x {}: replay must be byte-identical",
                 name,
                 scenario.name
             );

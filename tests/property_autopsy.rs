@@ -5,10 +5,10 @@
 //! 1e-9 relative — pure float summation error, no model slack), every
 //! attribution partition (cause / tenant / node) sums to the aggregate
 //! wait, and the critical path tiles `[0, last rank finish]`. Because hops
-//! are recorded inside event handlers, which every executor replays in an
-//! identical total order, the report is also byte-identical across
-//! `ExecMode::Serial` and `Parallel { 2, 8 }` — checked on the rendered
-//! text, the artifact `dosas-sim --autopsy` ships.
+//! are recorded inside event handlers, which the executor dispatches in one
+//! deterministic total order, the report is also byte-identical across
+//! replays — checked on the rendered text, the artifact
+//! `dosas-sim --autopsy` ships.
 
 use dosas_repro::prelude::*;
 
@@ -162,27 +162,21 @@ fn faulted_tenant_run_decomposes_exactly() {
 }
 
 /// The rendered report — the byte-for-byte artifact `dosas-sim --autopsy`
-/// writes — is identical across executors, and so is the full serialized
+/// writes — is identical across replays, and so is the full serialized
 /// `RunMetrics` carrying it.
 #[test]
-fn autopsy_is_bit_identical_across_exec_modes() {
-    let run = |mode: ExecMode| {
-        let m = Driver::run_with(
-            tenant_cfg(Scheme::dosas_default(), 7),
-            &tenant_workload(),
-            mode,
-        );
+fn autopsy_is_bit_identical_across_replays() {
+    let run = || {
+        let m = Driver::run(tenant_cfg(Scheme::dosas_default(), 7), &tenant_workload());
         let rendered = m.autopsy.as_ref().expect("autopsy on").render(5);
         let json = serde_json::to_string_pretty(&m).expect("RunMetrics serializes");
         (rendered, json)
     };
-    let (serial_txt, serial_json) = run(ExecMode::Serial);
-    assert!(serial_txt.contains("# request autopsy"));
-    for threads in [2usize, 8] {
-        let (par_txt, par_json) = run(ExecMode::Parallel { threads });
-        assert_eq!(serial_txt, par_txt, "{threads}-thread render diverged");
-        assert_eq!(serial_json, par_json, "{threads}-thread metrics diverged");
-    }
+    let (first_txt, first_json) = run();
+    assert!(first_txt.contains("# request autopsy"));
+    let (replay_txt, replay_json) = run();
+    assert_eq!(first_txt, replay_txt, "replayed render diverged");
+    assert_eq!(first_json, replay_json, "replayed metrics diverged");
 }
 
 /// The autopsy is observational: switching it on changes no simulated

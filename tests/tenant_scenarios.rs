@@ -2,8 +2,8 @@
 //! `bench::scenarios` — fault storm, straggler, elastic join/leave,
 //! heterogeneous capability tiers, declared SLOs, the long-horizon soak,
 //! the deep-queue open-loop burst, and the k=4 fat-tree — runs
-//! deterministically, pins a golden `RunMetrics` snapshot, and reproduces
-//! it bit-for-bit under the sharded parallel executor.
+//! deterministically, pins a golden `RunMetrics` snapshot, and replays it
+//! byte for byte.
 //!
 //! Regenerating after an *intentional* behaviour change:
 //!
@@ -25,14 +25,14 @@ fn golden_path(name: &str) -> PathBuf {
     golden_dir().join(format!("scenario-{name}.json"))
 }
 
-fn run_json(s: &scenarios::Scenario, mode: ExecMode) -> String {
-    let m = Driver::run_with(s.cfg.clone(), &s.workload, mode);
+fn run_json(s: &scenarios::Scenario) -> String {
+    let m = Driver::run(s.cfg.clone(), &s.workload);
     let mut json = serde_json::to_string_pretty(&m).expect("RunMetrics serializes");
     json.push('\n');
     json
 }
 
-/// Serial golden snapshots: one per scenario, byte-for-byte.
+/// Golden snapshots: one per scenario, byte-for-byte.
 #[test]
 fn scenario_metrics_match_golden_snapshots() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
@@ -40,7 +40,7 @@ fn scenario_metrics_match_golden_snapshots() {
         fs::create_dir_all(golden_dir()).expect("create tests/golden");
     }
     for s in scenarios::all() {
-        let json = run_json(&s, ExecMode::Serial);
+        let json = run_json(&s);
         let path = golden_path(s.name);
         if update {
             fs::write(&path, &json).expect("write golden snapshot");
@@ -61,45 +61,15 @@ fn scenario_metrics_match_golden_snapshots() {
     }
 }
 
-/// The sharded parallel executor reproduces every scenario snapshot byte
-/// for byte — membership churn, storms and tenant accounting included.
+/// The fat-tree scenario's multi-hop max-min fills replay byte-identically:
+/// a second run reproduces the first exactly.
 #[test]
-fn scenario_metrics_match_under_parallel_executor() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        return; // snapshots are (re)generated by the serial test above
-    }
-    for s in scenarios::all() {
-        let path = golden_path(s.name);
-        let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {path:?} ({e}); regenerate with \
-                 UPDATE_GOLDEN=1 cargo test --test tenant_scenarios"
-            )
-        });
-        let json = run_json(&s, ExecMode::Parallel { threads: 2 });
-        assert_eq!(
-            json, expected,
-            "scenario {}: parallel executor diverged from the serial golden \
-             snapshot {path:?}",
-            s.name
-        );
-    }
-}
-
-/// The fat-tree scenario's multi-hop max-min fills replay byte-identically
-/// under a wide shard count too: 8 worker threads reproduce the serial
-/// snapshot exactly (2 threads are covered by the suite-wide test above).
-#[test]
-fn fat_tree_scenario_is_byte_identical_at_eight_threads() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        return;
-    }
+fn fat_tree_scenario_replays_byte_identically() {
     let s = scenarios::by_name("fat-tree").unwrap();
-    let serial = run_json(&s, ExecMode::Serial);
-    let wide = run_json(&s, ExecMode::Parallel { threads: 8 });
     assert_eq!(
-        serial, wide,
-        "fat-tree: the 8-thread sharded run diverged from the serial run"
+        run_json(&s),
+        run_json(&s),
+        "fat-tree: the replay diverged from the first run"
     );
 }
 
@@ -185,22 +155,19 @@ fn join_leave_recovers_probes_and_completes() {
 }
 
 /// The soak scenario streams its timeline to disk: the JSONL file carries
-/// every record (rings stay empty), each line parses back, and the serial
-/// and parallel streams are byte-identical.
+/// every record (rings stay empty), each line parses back, and two runs
+/// stream byte-identical files.
 #[test]
 fn soak_streams_timeline_to_disk_deterministically() {
     let dir = std::env::temp_dir().join(format!("dosas-soak-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("create temp dir");
     let mut paths = Vec::new();
-    for (tag, mode) in [
-        ("serial", ExecMode::Serial),
-        ("parallel", ExecMode::Parallel { threads: 2 }),
-    ] {
+    for tag in ["first", "replay"] {
         let s = scenarios::by_name("soak").unwrap();
         let path = dir.join(format!("soak-{tag}.jsonl"));
         let mut cfg = s.cfg.clone();
         cfg.obs.stream_path = Some(path.to_str().unwrap().to_string());
-        let m = Driver::run_with(cfg, &s.workload, mode);
+        let m = Driver::run(cfg, &s.workload);
         let report = m.obs.as_ref().expect("soak runs with obs enabled");
         assert!(
             report.samples.is_empty() && report.events.is_empty(),
@@ -216,11 +183,11 @@ fn soak_streams_timeline_to_disk_deterministically() {
         }
         paths.push(path);
     }
-    let serial = fs::read(&paths[0]).unwrap();
-    let parallel = fs::read(&paths[1]).unwrap();
+    let first = fs::read(&paths[0]).unwrap();
+    let replay = fs::read(&paths[1]).unwrap();
     assert_eq!(
-        serial, parallel,
-        "streamed timelines must be byte-identical across executors"
+        first, replay,
+        "streamed timelines must be byte-identical across runs"
     );
     fs::remove_dir_all(&dir).ok();
 }
