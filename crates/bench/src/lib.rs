@@ -7,12 +7,10 @@
 
 pub mod ablations;
 pub mod experiments;
-pub mod fabric_churn;
 pub mod plot;
 pub mod policy_matrix;
 pub mod report;
 pub mod scenarios;
-pub mod topology_churn;
 
 pub use experiments::*;
 pub use report::{write_csv, Table};

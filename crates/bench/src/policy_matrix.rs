@@ -5,10 +5,9 @@
 //! multi-tenant suite ([`crate::scenarios`]) and reduces every run to an
 //! EXPERIMENTS-style comparison row: makespan, aggregate and per-tenant
 //! bandwidth, p95 latency, Jain fairness, SLO verdicts, demotions and
-//! rate-cap activity. Consumed by `bench_baseline` (the `policies` section
-//! of `BENCH_simulator.json`, schema v5), the `scenario` binary's
-//! `--policy`/`--matrix` flags, and the EXPERIMENTS.md "Policy comparison"
-//! table.
+//! rate-cap activity. Consumed by the `scenario` binary's
+//! `--policy`/`--matrix` flags (the source of the EXPERIMENTS.md "Policy
+//! comparison" table) and by `tests/policy_arena.rs`.
 
 use crate::scenarios::{self, Scenario};
 use dosas::policy::PolicyConfig;

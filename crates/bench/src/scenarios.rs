@@ -2,14 +2,12 @@
 //!
 //! Each scenario is a fully deterministic `(DriverConfig, Workload)` pair:
 //! fixed seed, deterministic cluster (no jitter), and a fault plan that is
-//! either empty or rebuilt from a fixed seed. They back three consumers:
+//! either empty or rebuilt from a fixed seed. They back two consumers:
 //!
 //! * `tests/tenant_scenarios.rs` — every scenario has a golden
 //!   `RunMetrics` snapshot (`tests/golden/scenario-<name>.json`) that every
 //!   run must reproduce byte for byte.
 //! * the `scenario` binary — run one by name and print its metrics.
-//! * `bench_baseline` — the scenario sweep is a benchmark point, so the
-//!   cost of the failure-rich multi-tenant regime is tracked over time.
 //!
 //! Naming: tenants are indices into the workload's mix (tenant 0, 1, …);
 //! storage ordinals are positions in the storage pool, with plain node id

@@ -31,7 +31,7 @@ pub mod topology;
 pub use config::ClusterConfig;
 pub use cpu::Cpu;
 pub use disk::Disk;
-pub use net::{Fabric, FillMode, FlowCompletion, FlowId, NetFillCounters};
+pub use net::{Fabric, FlowCompletion, FlowId, NetFillCounters};
 pub use node::{NodeId, NodeRole};
 pub use topology::{ClusterState, Topology, TopologySpec};
 

@@ -25,10 +25,16 @@
 //! or when simulated time moves forward, so N same-timestamp churn
 //! operations cost one pass. The pass itself is restricted to the connected
 //! components (flows transitively coupled through shared links) that contain
-//! a dirty link — flows in untouched components keep their previous rates,
-//! which is exact because progressive filling is separable per component.
-//! A debug assertion cross-checks every incremental fill against a
-//! from-scratch fill of all components.
+//! a dirty link — flows in untouched components keep their previous rates.
+//! In exact arithmetic progressive filling is separable per component, but
+//! in floating point it is not quite: a global fill advances every
+//! component by one common level `r` per round and freezes against an
+//! `eps` derived from it, so a component filled alone can round its rates
+//! differently, by one ULP, from the same component filled alongside
+//! others. A debug assertion cross-checks every incremental fill against a
+//! from-scratch fill of all components; it holds on the schedules the
+//! tests run, and trips on some larger fat-trees (DESIGN.md §10 lists the
+//! known cases).
 //!
 //! State is slot- and link-indexed so that cost follows the dirty
 //! components, not the flow count: flows live in a slab (slots are reused,
@@ -37,16 +43,12 @@
 //! components by walking from the dirty links — link → listed flows →
 //! their route links. Per-node utilization sums the node's tx or rx list.
 //! A `FlowId → slot` map serves API lookups and the `FlowId`-ordered full
-//! walks (FullRescan and the debug oracle).
+//! walk of the debug oracle.
 //!
 //! Completion queries are O(log n): each fill pushes projected completion
 //! times into a min-heap of `(time, generation, slot)` entries; entries
 //! superseded by a newer fill or orphaned by flow removal are lazily
 //! discarded at the heap top.
-//!
-//! [`FillMode::FullRescan`] disables all of this (eager per-mutation global
-//! fills and linear-scan completion queries, the pre-incremental behavior)
-//! so benchmarks can compare against the old cost model.
 //!
 //! Like the other resources, the fabric is driven by the simulation loop via
 //! `next_completion` + `epoch`.
@@ -108,19 +110,6 @@ pub struct CancelledFlow {
     pub progress: f64,
 }
 
-/// How the fabric recomputes rates after churn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillMode {
-    /// Coalesce same-timestamp churn into one pass and refill only the
-    /// connected components containing a dirtied link.
-    #[default]
-    Incremental,
-    /// Pre-incremental behavior: every mutation immediately re-derives every
-    /// flow's rate from scratch, and completion queries scan linearly.
-    /// Kept for benchmarking the incremental path against its baseline.
-    FullRescan,
-}
-
 /// Cumulative churn/fill counters (see [`Fabric::fill_counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetFillCounters {
@@ -135,9 +124,8 @@ pub struct NetFillCounters {
     /// untouched.
     pub flows_reused: u64,
     /// Flows visited by the incremental fill's component walk. Equals
-    /// `flows_refilled` in [`FillMode::Incremental`] (each dirty component
-    /// is walked once); a larger value would mean the walk strayed beyond
-    /// the dirty components.
+    /// `flows_refilled` (each dirty component is walked once); a larger
+    /// value would mean the walk strayed beyond the dirty components.
     pub flows_walked: u64,
 }
 
@@ -189,7 +177,6 @@ pub struct Fabric {
     /// rates, so entries stay valid until a fill supersedes them.
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     next_gen: u64,
-    fill_mode: FillMode,
     counters: NetFillCounters,
     /// Link-indexed working memory reused by every fill, so a fill costs
     /// O(flows + touched links) rather than O(links in the topology).
@@ -318,7 +305,6 @@ impl Fabric {
             dirty_links: Vec::new(),
             heap: BinaryHeap::new(),
             next_gen: 0,
-            fill_mode: FillMode::default(),
             counters: NetFillCounters::default(),
             scratch,
         }
@@ -341,11 +327,6 @@ impl Fabric {
     /// Total bytes delivered by completed flows.
     pub fn bytes_delivered(&self) -> f64 {
         self.bytes_delivered
-    }
-
-    /// Select the recompute strategy (default [`FillMode::Incremental`]).
-    pub fn set_fill_mode(&mut self, mode: FillMode) {
-        self.fill_mode = mode;
     }
 
     /// Cumulative churn/fill counters.
@@ -606,9 +587,6 @@ impl Fabric {
     /// completion time.
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.ensure_rates();
-        if self.fill_mode == FillMode::FullRescan {
-            return self.next_completion_scan();
-        }
         while let Some(&Reverse((t, gen, slot))) = self.heap.peek() {
             match &self.flows[slot] {
                 Some(f) if f.gen == gen => return Some(t),
@@ -618,20 +596,6 @@ impl Fabric {
             }
         }
         None
-    }
-
-    /// Pre-incremental linear completion scan (FullRescan mode).
-    fn next_completion_scan(&self) -> Option<SimTime> {
-        let mut best: Option<f64> = None;
-        for f in self.flows.iter().flatten() {
-            if f.rate > 0.0 {
-                let dt = f.remaining / f.rate;
-                best = Some(best.map_or(dt, |b: f64| b.min(dt)));
-            } else if f.remaining <= 0.0 {
-                best = Some(0.0);
-            }
-        }
-        best.map(|dt| self.last_update + SimSpan::from_secs_f64(dt))
     }
 
     /// Advance to `now` and collect finished flows, in ascending `FlowId`.
@@ -729,29 +693,16 @@ impl Fabric {
         self.epoch += 1;
         self.dirty = true;
         self.counters.churn_ops += 1;
-        if self.fill_mode == FillMode::FullRescan {
-            // Pre-incremental semantics: pay a full pass on every mutation.
-            self.ensure_rates();
-        }
     }
 
     /// Flush pending coalesced mutations: one water-filling pass over the
-    /// dirtied components (or everything in FullRescan mode). No-op when
-    /// the allocation is current.
+    /// dirtied components. No-op when the allocation is current.
     fn ensure_rates(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
         self.counters.fills += 1;
-        if self.fill_mode == FillMode::FullRescan {
-            self.dirty_links.clear();
-            let slots: Vec<usize> = self.index.values().copied().collect();
-            self.counters.flows_refilled += slots.len() as u64;
-            self.fill(&slots);
-            return;
-        }
-
         let refill = self.dirty_components();
         self.counters.flows_refilled += refill.len() as u64;
         self.counters.flows_reused += (self.index.len() - refill.len()) as u64;
@@ -980,8 +931,148 @@ impl Fabric {
     }
 }
 
+/// The eager, pre-incremental fabric, kept as the oracle the incremental
+/// fill is tested against: every mutation re-derives every flow's rate from
+/// scratch (no coalescing, no component walk), and completion queries scan
+/// every flow instead of popping the projection heap.
+#[cfg(test)]
+mod reference {
+    use super::{CancelledFlow, Fabric, FlowCompletion, FlowId, NetFillCounters, NodeId};
+    use simkit::{SimSpan, SimTime};
+    use std::ops::Deref;
+
+    /// The mutations and the completion query a churn schedule drives, so
+    /// one schedule runs against the fabric and the reference alike.
+    pub trait Churn {
+        fn start_flow(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: f64) -> FlowId;
+        fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<CancelledFlow>;
+        fn next_completion(&mut self) -> Option<SimTime>;
+    }
+
+    impl Churn for Fabric {
+        fn start_flow(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: f64) -> FlowId {
+            Fabric::start_flow(self, now, src, dst, bytes)
+        }
+
+        fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<CancelledFlow> {
+            Fabric::cancel_flow(self, now, id)
+        }
+
+        fn next_completion(&mut self) -> Option<SimTime> {
+            Fabric::next_completion(self)
+        }
+    }
+
+    /// A [`Fabric`] driven eagerly. Its allocation is current after every
+    /// call, so observers delegate to the wrapped fabric (read-only ones
+    /// through `Deref`) without ever triggering an incremental fill;
+    /// mutators are only reachable through the wrappers below.
+    pub struct Rescan(Fabric);
+
+    impl Rescan {
+        pub fn new(fabric: Fabric) -> Self {
+            let mut r = Rescan(fabric);
+            r.refill();
+            r
+        }
+
+        pub fn set_link_factor(&mut self, now: SimTime, n: NodeId, factor: f64) {
+            self.0.set_link_factor(now, n, factor);
+            self.refill();
+        }
+
+        pub fn take_completed(&mut self, now: SimTime) -> Vec<FlowCompletion> {
+            let done = self.0.take_completed(now);
+            self.refill();
+            done
+        }
+
+        pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
+            self.0.rate_of(id)
+        }
+
+        pub fn tx_utilization(&mut self, n: NodeId) -> f64 {
+            self.0.tx_utilization(n)
+        }
+
+        pub fn rx_utilization(&mut self, n: NodeId) -> f64 {
+            self.0.rx_utilization(n)
+        }
+
+        /// Re-derive every flow's rate from scratch, in ascending `FlowId`,
+        /// if a mutation invalidated the allocation.
+        fn refill(&mut self) {
+            let f = &mut self.0;
+            if !f.dirty {
+                return;
+            }
+            f.dirty = false;
+            f.dirty_links.clear();
+            f.counters.fills += 1;
+            let slots: Vec<usize> = f.index.values().copied().collect();
+            f.counters.flows_refilled += slots.len() as u64;
+            f.fill(&slots);
+        }
+    }
+
+    impl Churn for Rescan {
+        fn start_flow(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: f64) -> FlowId {
+            let id = self.0.start_flow(now, src, dst, bytes);
+            self.refill();
+            id
+        }
+
+        fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<CancelledFlow> {
+            let cancelled = self.0.cancel_flow(now, id);
+            self.refill();
+            cancelled
+        }
+
+        /// Earliest completion by a linear scan of every flow.
+        fn next_completion(&mut self) -> Option<SimTime> {
+            let mut best: Option<f64> = None;
+            for f in self.0.flows.iter().flatten() {
+                if f.rate > 0.0 {
+                    let dt = f.remaining / f.rate;
+                    best = Some(best.map_or(dt, |b: f64| b.min(dt)));
+                } else if f.remaining <= 0.0 {
+                    best = Some(0.0);
+                }
+            }
+            best.map(|dt| self.0.last_update + SimSpan::from_secs_f64(dt))
+        }
+    }
+
+    impl Deref for Rescan {
+        type Target = Fabric;
+
+        fn deref(&self) -> &Fabric {
+            &self.0
+        }
+    }
+
+    impl NetFillCounters {
+        /// The counts accumulated since the `before` snapshot.
+        pub fn since(self, before: NetFillCounters) -> NetFillCounters {
+            NetFillCounters {
+                churn_ops: self.churn_ops - before.churn_ops,
+                fills: self.fills - before.fills,
+                flows_refilled: self.flows_refilled - before.flows_refilled,
+                flows_reused: self.flows_reused - before.flows_reused,
+                flows_walked: self.flows_walked - before.flows_walked,
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod fabric_churn;
+#[cfg(test)]
+mod topology_churn;
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{Churn, Rescan};
     use super::*;
     use simkit::RngFactory;
 
@@ -1292,8 +1383,7 @@ mod tests {
     #[test]
     fn full_rescan_mode_matches_incremental_rates() {
         let mut inc = fabric(6, 100.0);
-        let mut full = fabric(6, 100.0);
-        full.set_fill_mode(FillMode::FullRescan);
+        let mut full = Rescan::new(fabric(6, 100.0));
         let pairs = [(0, 1), (0, 2), (3, 2), (4, 5), (3, 5)];
         let mut ids = Vec::new();
         for &(s, d) in &pairs {
@@ -1308,7 +1398,7 @@ mod tests {
             );
         }
         assert_eq!(inc.next_completion(), full.next_completion());
-        // FullRescan paid one pass per mutation; incremental paid one total.
+        // The reference paid one pass per mutation; incremental paid one total.
         assert_eq!(full.fill_counters().fills, pairs.len() as u64);
         assert_eq!(inc.fill_counters().fills, 1);
     }
@@ -1317,7 +1407,7 @@ mod tests {
     /// of their own, plus 1–3 churning flows on other hosts: every fill's
     /// component walk must visit only the dirty component — exactly the
     /// flows it refills, never more than the churning flows — and reuse
-    /// every background rate. The rates must equal an eager FullRescan
+    /// every background rate. The rates must equal the eager reference
     /// fabric's bit for bit throughout.
     #[test]
     fn component_walk_visits_only_dirty_flows_on_a_10k_host_star() {
@@ -1348,8 +1438,7 @@ mod tests {
             let _ = f.next_completion();
             f
         };
-        let (mut inc, mut full) = (mk(), mk());
-        full.set_fill_mode(FillMode::FullRescan);
+        let (mut inc, mut full) = (mk(), Rescan::new(mk()));
         let mut rng = RngFactory::new(42).stream("churn");
         let mut now = SimTime::ZERO;
         let mut live: Vec<(FlowId, FlowId)> = Vec::new();
@@ -1491,6 +1580,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::reference::{Churn, Rescan};
     use super::*;
     use proptest::prelude::*;
     use simkit::RngFactory;
@@ -1747,7 +1837,7 @@ mod proptests {
 
     /// The PR-5 incremental oracle generalized to a graph topology: on a
     /// k=4 fat-tree, batched churn under the incremental dirty-component
-    /// fill must stay bit-identical to eager FullRescan.
+    /// fill must stay bit-identical to the eager reference.
     #[test]
     fn fat_tree_incremental_fill_matches_full_rescan() {
         let op = || {
@@ -1767,8 +1857,7 @@ mod proptests {
                 Topology::fat_tree(4, 16), 100.0, None, SimSpan::ZERO, None,
                 RngFactory::new(31).stream("ft"));
             let mut inc = mk();
-            let mut full = mk();
-            full.set_fill_mode(FillMode::FullRescan);
+            let mut full = Rescan::new(mk());
             let mut now = SimTime::ZERO;
             let mut live: Vec<(FlowId, FlowId)> = Vec::new();
             for (ops, dt) in batches {
@@ -1808,7 +1897,7 @@ mod proptests {
 
     /// Oracle for the incremental dirty-set fill: under random batched
     /// add/cancel/degrade churn, rates, completion projections, and
-    /// residual bytes must stay bit-identical to a FullRescan fabric that
+    /// residual bytes must stay bit-identical to the reference fabric that
     /// eagerly re-derives everything from scratch after every mutation.
     #[test]
     fn incremental_fill_matches_full_rescan() {
@@ -1829,9 +1918,8 @@ mod proptests {
                         1..10))| {
             let mut inc = Fabric::new(8, 100.0, None, SimSpan::ZERO, None,
                 RngFactory::new(11).stream("inc"));
-            let mut full = Fabric::new(8, 100.0, None, SimSpan::ZERO, None,
-                RngFactory::new(11).stream("inc"));
-            full.set_fill_mode(FillMode::FullRescan);
+            let mut full = Rescan::new(Fabric::new(8, 100.0, None, SimSpan::ZERO, None,
+                RngFactory::new(11).stream("inc")));
             let mut now = SimTime::ZERO;
             let mut live: Vec<(FlowId, FlowId)> = Vec::new();
             for (ops, dt) in batches {
@@ -1859,7 +1947,7 @@ mod proptests {
                         _ => {}
                     }
                 }
-                // Coalesced batch flushed here; FullRescan filled eagerly.
+                // Coalesced batch flushed here; the reference filled eagerly.
                 prop_assert_eq!(inc.next_completion(), full.next_completion());
                 // Harvest completions identically on both sides.
                 let da = inc.take_completed(now);

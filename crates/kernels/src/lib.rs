@@ -31,7 +31,9 @@
 //!
 //! All kernels are *really executed* (this crate is the data plane);
 //! [`calibrate`] measures their per-core MB/s for Table III, and
-//! [`parallel`] runs mergeable kernels across cores with rayon.
+//! [`parallel`] splits mergeable kernels into chunks and merges the partial
+//! states through rayon's API. The vendored rayon stand-in runs the chunks
+//! sequentially on one core, so the split buys no speed-up today.
 
 mod itemstream;
 

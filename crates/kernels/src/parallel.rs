@@ -1,10 +1,11 @@
-//! Rayon-parallel execution of mergeable kernels.
+//! Chunked, mergeable execution of reduction kernels through rayon's API.
 //!
 //! Reduction kernels (sum, stats, histogram, kmeans) are associative: the
-//! input can be split at item boundaries, processed on independent cores and
-//! the partial states merged. This is how the client side exploits all its
-//! cores when an active I/O is demoted, and how [`crate::calibrate`]
-//! measures multi-core rates.
+//! input can be split at item boundaries, each chunk processed by its own
+//! kernel instance and the partial states merged. Under a real rayon the
+//! chunks would run on independent cores; the workspace's vendored rayon
+//! stand-in is sequential, so today these runners execute on one core and
+//! are no faster than a single kernel over the whole input.
 //!
 //! The Gaussian filter is *not* chunk-mergeable (each output row needs halo
 //! rows), and grep needs boundary stitching — see [`crate::grep`]'s

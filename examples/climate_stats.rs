@@ -7,7 +7,7 @@
 //! The Contention Estimator must balance them.
 //!
 //! Also demonstrates the data plane: the statistics kernel really reduces a
-//! synthetic temperature field, rayon-parallel on the "client" side.
+//! synthetic temperature field, chunked and merged on the "client" side.
 //!
 //! ```text
 //! cargo run --release --example climate_stats
@@ -40,8 +40,9 @@ fn main() {
         field.len() >> 20
     );
 
-    // Client-side completion path: rayon over all cores (what the ASC does
-    // with a demoted request on a multi-core compute node).
+    // Client-side completion path: chunked map/merge through rayon's API
+    // (what the ASC does with a demoted request; the vendored rayon runs
+    // the chunks on one core).
     let k = par_process(StatsKernel::new, &field, 1 << 20);
     let (min, max, mean, var, count) = StatsKernel::decode_result(&k.finalize()).unwrap();
     println!(

@@ -12,7 +12,10 @@
 //! * every timeline line round-trips through serde unchanged;
 //! * the sampled cumulative queue-depth integrals reproduce
 //!   `RunMetrics::mean_queue_depth` to within 1e-9 (same float operations
-//!   as the driver's own time-weighted accumulator).
+//!   as the driver's own time-weighted accumulator);
+//! * the fabric counters account for every cancelled event: on the paper
+//!   workload each cancellation is a stale `NetTick` the incremental
+//!   fabric suppressed (DESIGN.md §10).
 
 use dosas_repro::prelude::*;
 
@@ -134,4 +137,31 @@ fn empty_workload_yields_finite_metrics() {
         assert!(m.mean_queue_depth.is_finite());
         assert!(m.makespan_secs.is_finite());
     }
+}
+
+/// The paper workload (64 ranks × 256 MiB `gaussian2d` on Discfarm, seed
+/// 42) cancels 63 events, and every one is a stale `NetTick` the
+/// incremental fabric suppressed; none is a deduplicated tick.
+#[test]
+fn paper_workload_cancels_only_suppressed_net_ticks() {
+    let mut cfg = DriverConfig::paper(Scheme::dosas_default());
+    cfg.seed = 42;
+    cfg.obs = ObsConfig::enabled();
+    let w = Workload::uniform_active(
+        64,
+        1,
+        256 * MIB,
+        "gaussian2d",
+        KernelParams::with_width(1024),
+    );
+    let m = Driver::run(cfg, &w);
+    let report = m.obs.as_ref().expect("obs enabled");
+    let fabric = |name| {
+        report
+            .metrics
+            .counter_value("fabric", name, dosas_repro::obs::Label::None)
+    };
+    assert_eq!(fabric("net_ticks_suppressed"), m.events_cancelled);
+    assert_eq!(m.events_cancelled, 63);
+    assert_eq!(fabric("net_ticks_deduped"), 0);
 }
