@@ -82,7 +82,6 @@ pub fn ablate_solvers() -> Table {
             SolverKind::Matrix,
             SolverKind::Threshold,
             SolverKind::BranchAndBound,
-            SolverKind::Greedy,
         ] {
             let applicable = match kind {
                 SolverKind::Exhaustive => k <= 20,
@@ -427,8 +426,8 @@ mod tests {
     #[test]
     fn solver_ablation_reports_all_solvers() {
         let t = ablate_solvers();
-        // 5 k-values × 5 solvers.
-        assert_eq!(t.rows.len(), 25);
+        // 5 k-values × 4 solvers.
+        assert_eq!(t.rows.len(), 20);
         // Exact solvers show zero gap whenever they ran.
         for row in &t.rows {
             if row[1] == "threshold" || row[1] == "bnb" {

@@ -94,7 +94,7 @@ impl Cpu {
         self.res.progress(id)
     }
 
-    /// Membership epoch for stale-tick detection.
+    /// Membership epoch: the completion timer's key.
     pub fn epoch(&self) -> u64 {
         self.res.epoch()
     }

@@ -18,7 +18,8 @@
 //!
 //! None of these components schedules simulation events itself; each exposes
 //! `next_*` time queries plus an epoch, and the simulation driver (in the
-//! `dosas` crate) owns the event loop. This keeps the hardware model free of
+//! `dosas` crate) owns the event loop, arming one `simkit::Timer` per
+//! resource from them. This keeps the hardware model free of
 //! any knowledge of the workloads running on it.
 
 pub mod config;

@@ -30,7 +30,7 @@ use mpiio::file::ResultBuf;
 use mpiio::status::ExecutionSite;
 use pfs::{BlockCache, IoKind, MemoryStore, MetadataServer, QueuedRequest, RequestId};
 use simkit::component::Component;
-use simkit::{EventHandle, Scheduler, SimTime};
+use simkit::{Scheduler, SimTime, Timer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire-size estimate for a kernel checkpoint when the data plane is off
@@ -54,18 +54,8 @@ pub(super) struct IoPath {
     pub(super) next_app: u64,
     /// Final kernel results per app I/O (data-plane runs only).
     pub(super) results: BTreeMap<u64, Vec<u8>>,
-    /// The one armed `NetTick`: its (time, fabric epoch, queue handle).
-    /// Cleared the instant it fires; superseded entries are cancelled in
-    /// the queue (when still in the future) before a replacement is armed.
-    pub(super) net_armed: Option<(SimTime, u64, EventHandle)>,
-    /// NetTick arms skipped because a tick with the identical (time,
-    /// epoch) was already pending — a recompute left the earliest
-    /// completion unchanged, so no replacement is scheduled.
-    pub(super) net_ticks_deduped: u64,
-    /// Stale NetTicks suppressed before dispatch: superseded future ticks
-    /// revoked from the queue once a recompute moved the earliest
-    /// completion.
-    pub(super) net_ticks_suppressed: u64,
+    /// The fabric's completion timer: the one pending `NetTick`.
+    pub(super) net_timer: Timer,
     /// Per-rank policy rate caps, bytes/s (absent = uncapped). Written by
     /// the control subsystem's rate-cap directives; read at flow launch so
     /// every new request flow of a capped rank starts capped.
@@ -85,7 +75,7 @@ impl Component<Driver> for IoPathComponent {
     fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
             Ev::Arrive(id) => world.on_arrive(id, now, sched),
-            Ev::NetTick { epoch } => world.on_net_tick(epoch, now, sched),
+            Ev::NetTick => world.on_net_tick(now, sched),
             Ev::Deliver(id) => world.on_deliver(id, now, sched),
             _ => unreachable!("non-I/O event routed to io_path"),
         }
@@ -93,41 +83,11 @@ impl Component<Driver> for IoPathComponent {
 }
 
 impl Driver {
-    /// (Re)arm the fabric's completion tick, keeping at most one `NetTick`
-    /// pending. A call that lands on the identical (time, epoch) as the
-    /// armed tick is deduplicated outright; a superseded tick armed for a
-    /// *future* instant is suppressed (cancelled in the queue before it can
-    /// dispatch). A superseded tick armed
-    /// for the *current* instant is left to fire and go stale instead; the
-    /// goldens pin that event stream, including the stale dispatches in
-    /// their event counters.
+    /// Re-arm the fabric's completion timer after a fabric change.
     pub(super) fn schedule_net(&mut self, sched: &mut Scheduler<Ev>) {
         let next = self.cluster.fabric.next_completion();
         let epoch = self.cluster.fabric.epoch();
-        let Some(t) = next.map(|t| t.max(sched.now())) else {
-            // Nothing will complete (idle fabric or all flows stalled at
-            // rate 0): drop the armed tick rather than let it fire stale.
-            if let Some((at, _, h)) = self.io.net_armed.take() {
-                if at > sched.now() {
-                    sched.cancel(h);
-                    self.io.net_ticks_suppressed += 1;
-                }
-            }
-            return;
-        };
-        if let Some((at, e, h)) = self.io.net_armed {
-            if at == t && e == epoch {
-                self.io.net_ticks_deduped += 1;
-                return;
-            }
-            self.io.net_armed = None;
-            if at > sched.now() {
-                sched.cancel(h);
-                self.io.net_ticks_suppressed += 1;
-            }
-        }
-        let handle = sched.at_cancellable(t, Ev::NetTick { epoch });
-        self.io.net_armed = Some((t, epoch, handle));
+        self.io.net_timer.arm(sched, next, epoch, Ev::NetTick);
     }
 
     // ----- request pipeline -----
@@ -298,21 +258,13 @@ impl Driver {
         self.submit_disk_read(server, id, bytes, now, sched);
     }
 
-    fn on_net_tick(&mut self, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
-        // If this firing is the armed tick, it is past the point of
-        // cancellation — forget its handle before anything else can try.
-        // (A stale same-instant leftover never matches the memo: re-arming
-        // always moves the epoch forward.)
-        if self
-            .io
-            .net_armed
-            .is_some_and(|(at, e, _)| at == now && e == epoch)
-        {
-            self.io.net_armed = None;
-        }
-        if self.cluster.fabric.epoch() != epoch {
-            return;
-        }
+    fn on_net_tick(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let armed = self.io.net_timer.fired();
+        debug_assert_eq!(
+            armed,
+            self.cluster.fabric.epoch(),
+            "fabric changed without re-arming its tick"
+        );
         self.sample_bandwidth(now);
         let completions = self.cluster.fabric.take_completed(now);
         for c in completions {

@@ -195,7 +195,11 @@ pub struct RunMetrics {
     /// Contention Estimator probe health, aggregated over all storage
     /// nodes (probe losses, retries, fallback entries under faults).
     pub ce: CeStats,
-    /// Time-weighted mean I/O queue depth over all storage nodes.
+    /// Time-weighted mean I/O queue depth over all storage nodes: each
+    /// server's depth integrated over `[0, end]` and divided by `end`, where
+    /// `end` is the clock of the run's last dispatched event (not the
+    /// makespan). No superseded resource tick is ever dispatched, so `end`
+    /// is the time of the last event that did work.
     pub mean_queue_depth: f64,
     pub peak_queue_depth: f64,
     pub policy_log: Vec<PolicyLogEntry>,
@@ -225,8 +229,8 @@ pub struct RunMetrics {
     /// events_cancelled` is the queue residue: zero for run-to-drain, the
     /// still-pending backlog for deadline-bounded runs.
     pub events_scheduled: u64,
-    /// Events revoked before dispatch (superseded `NetTick`s the
-    /// incremental fabric proved stale at reschedule time).
+    /// Events revoked before dispatch: disk, CPU and fabric ticks a
+    /// resource timer cancelled because a change superseded them.
     pub events_cancelled: u64,
     /// Observability report (metrics registry, event log, timeline samples)
     /// when `DriverConfig::obs` was enabled. Excluded from the serialized

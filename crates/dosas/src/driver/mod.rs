@@ -73,7 +73,7 @@ use ranks::Ranks;
 use server::{KernelSlots, Servers};
 use simkit::{
     Component, ExecProfile, FaultPlan, RngFactory, Routed, Scheduler, SimSpan, SimTime, Simulation,
-    World,
+    Timer, World,
 };
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -135,12 +135,12 @@ pub enum Ev {
     RankStep(usize),
     /// Request message reached its data server.
     Arrive(RequestId),
-    /// A disk may have completed a read.
-    DiskTick { ordinal: usize, epoch: u64 },
-    /// A CPU may have completed a task.
-    CpuTick { node: usize, epoch: u64 },
-    /// The fabric may have completed a flow.
-    NetTick { epoch: u64 },
+    /// The disk with this storage ordinal reaches its next completion.
+    DiskTick(usize),
+    /// This node's CPU reaches its next task completion.
+    CpuTick(usize),
+    /// The fabric reaches its next flow completion.
+    NetTick,
     /// A transfer's payload reached the client (flow + latency).
     Deliver(RequestId),
     /// Contention Estimator periodic probe.
@@ -173,8 +173,8 @@ impl Routed for Ev {
     fn route(&self) -> Subsystem {
         match self {
             Ev::RankStep(_) => Subsystem::Ranks,
-            Ev::Arrive(_) | Ev::NetTick { .. } | Ev::Deliver(_) => Subsystem::IoPath,
-            Ev::DiskTick { .. } | Ev::CpuTick { .. } => Subsystem::Server,
+            Ev::Arrive(_) | Ev::NetTick | Ev::Deliver(_) => Subsystem::IoPath,
+            Ev::DiskTick(_) | Ev::CpuTick(_) => Subsystem::Server,
             Ev::Probe(_) | Ev::ProbeRetry(_) | Ev::PolicyArrive(_) => Subsystem::Control,
             Ev::Fault => Subsystem::Faults,
             Ev::Sample => Subsystem::Telemetry,
@@ -302,6 +302,8 @@ impl Driver {
             cfg.cluster.compute_nodes,
         );
 
+        let disk_timers = cluster.disks.iter().map(|_| Timer::default()).collect();
+        let cpu_timers = cluster.cpus.iter().map(|_| Timer::default()).collect();
         Driver {
             dosas,
             cluster,
@@ -320,9 +322,7 @@ impl Driver {
                 next_req: 0,
                 next_app: 0,
                 results: BTreeMap::new(),
-                net_armed: None,
-                net_ticks_deduped: 0,
-                net_ticks_suppressed: 0,
+                net_timer: Timer::default(),
                 rank_caps: BTreeMap::new(),
                 rate_caps_applied: 0,
             },
@@ -332,6 +332,8 @@ impl Driver {
                 disk_req: BTreeMap::new(),
                 cpu_work: BTreeMap::new(),
                 slots: KernelSlots::new(fifo_kernels),
+                disk_timers,
+                cpu_timers,
             },
             control: Control {
                 policy,

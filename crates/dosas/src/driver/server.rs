@@ -21,7 +21,7 @@ use kernels::calibrate::synthetic_f64_stream;
 use pfs::{DataServer, RequestId};
 use simkit::component::Component;
 use simkit::fifo::ReqId as DiskReqId;
-use simkit::{Scheduler, SimTime, TaskId};
+use simkit::{Scheduler, SimTime, TaskId, Timer};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What a completed CPU task was doing.
@@ -103,6 +103,10 @@ pub(super) struct Servers {
     pub(super) disk_req: BTreeMap<(usize, DiskReqId), RequestId>,
     pub(super) cpu_work: BTreeMap<(usize, TaskId), CpuWork>,
     pub(super) slots: KernelSlots,
+    /// Completion timers: one per disk (by storage ordinal), one per CPU
+    /// (by node).
+    pub(super) disk_timers: Vec<Timer>,
+    pub(super) cpu_timers: Vec<Timer>,
 }
 
 /// Routed-event entry point for the subsystem.
@@ -114,28 +118,26 @@ impl Component<Driver> for ServerComponent {
 
     fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
-            Ev::DiskTick { ordinal, epoch } => world.on_disk_tick(ordinal, epoch, now, sched),
-            Ev::CpuTick { node, epoch } => world.on_cpu_tick(node, epoch, now, sched),
+            Ev::DiskTick(ordinal) => world.on_disk_tick(ordinal, now, sched),
+            Ev::CpuTick(node) => world.on_cpu_tick(node, now, sched),
             _ => unreachable!("non-service event routed to server"),
         }
     }
 }
 
 impl Driver {
-    // ----- resource tick scheduling (epoch pattern) -----
+    // ----- resource timers: re-armed after every change -----
 
     pub(super) fn schedule_disk(&mut self, ordinal: usize, sched: &mut Scheduler<Ev>) {
-        if let Some(t) = self.cluster.disks[ordinal].next_event() {
-            let epoch = self.cluster.disks[ordinal].epoch();
-            sched.at(t.max(sched.now()), Ev::DiskTick { ordinal, epoch });
-        }
+        let next = self.cluster.disks[ordinal].next_event();
+        let epoch = self.cluster.disks[ordinal].epoch();
+        self.server.disk_timers[ordinal].arm(sched, next, epoch, Ev::DiskTick(ordinal));
     }
 
     pub(super) fn schedule_cpu(&mut self, node: usize, sched: &mut Scheduler<Ev>) {
-        if let Some(t) = self.cluster.cpus[node].next_completion() {
-            let epoch = self.cluster.cpus[node].epoch();
-            sched.at(t.max(sched.now()), Ev::CpuTick { node, epoch });
-        }
+        let next = self.cluster.cpus[node].next_completion();
+        let epoch = self.cluster.cpus[node].epoch();
+        self.server.cpu_timers[node].arm(sched, next, epoch, Ev::CpuTick(node));
     }
 
     /// Queue a request's read at its server's disk, cache-filtered, and
@@ -165,16 +167,13 @@ impl Driver {
         self.schedule_disk(ordinal, sched);
     }
 
-    fn on_disk_tick(
-        &mut self,
-        ordinal: usize,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        if self.cluster.disks[ordinal].epoch() != epoch {
-            return; // stale tick; a newer one is queued
-        }
+    fn on_disk_tick(&mut self, ordinal: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let armed = self.server.disk_timers[ordinal].fired();
+        debug_assert_eq!(
+            armed,
+            self.cluster.disks[ordinal].epoch(),
+            "disk {ordinal} changed without re-arming its tick"
+        );
         for c in self.cluster.disks[ordinal].take_completed(now) {
             if self.faults.stall_reqs.remove(&(ordinal, c.id)) {
                 continue; // injected stall draining, not a real request
@@ -352,10 +351,13 @@ impl Driver {
         }
     }
 
-    fn on_cpu_tick(&mut self, node: usize, epoch: u64, now: SimTime, sched: &mut Scheduler<Ev>) {
-        if self.cluster.cpus[node].epoch() != epoch {
-            return;
-        }
+    fn on_cpu_tick(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let armed = self.server.cpu_timers[node].fired();
+        debug_assert_eq!(
+            armed,
+            self.cluster.cpus[node].epoch(),
+            "CPU {node} changed without re-arming its tick"
+        );
         for task in self.cluster.cpus[node].take_completed(now) {
             let work = self
                 .server

@@ -341,28 +341,26 @@ impl Driver {
             r.add("driver", "events_dispatched", Label::None, events);
             r.add("driver", "events_scheduled", Label::None, events_scheduled);
             r.add("driver", "events_cancelled", Label::None, events_cancelled);
-            // Incremental-fabric effectiveness: NetTicks that never hit the
-            // dispatch loop, and how much of each water-filling pass was
-            // reused. `ticks_avoided` is the headline "work not done" count.
+            // Resource timers: ticks cancelled before dispatch (the three
+            // `ticks_suppressed` counts sum to `events_cancelled`) and fabric
+            // re-arms that kept the pending tick. Then how much of each
+            // water-filling pass was reused.
+            let suppressed =
+                |ts: &[simkit::Timer]| -> u64 { ts.iter().map(|t| t.suppressed()).sum() };
+            let net = &w.io.net_timer;
+            for (component, name, n) in [
+                ("fabric", "net_ticks_suppressed", net.suppressed()),
+                ("fabric", "net_ticks_deduped", net.deduped()),
+                (
+                    "disk",
+                    "ticks_suppressed",
+                    suppressed(&w.server.disk_timers),
+                ),
+                ("cpu", "ticks_suppressed", suppressed(&w.server.cpu_timers)),
+            ] {
+                r.add(component, name, Label::None, n);
+            }
             let nfc = w.cluster.fabric.fill_counters();
-            r.add(
-                "fabric",
-                "net_ticks_suppressed",
-                Label::None,
-                w.io.net_ticks_suppressed,
-            );
-            r.add(
-                "fabric",
-                "net_ticks_deduped",
-                Label::None,
-                w.io.net_ticks_deduped,
-            );
-            r.add(
-                "fabric",
-                "net_ticks_avoided",
-                Label::None,
-                w.io.net_ticks_suppressed + w.io.net_ticks_deduped,
-            );
             r.add("fabric", "fills", Label::None, nfc.fills);
             r.add("fabric", "churn_ops", Label::None, nfc.churn_ops);
             r.add("fabric", "flows_refilled", Label::None, nfc.flows_refilled);

@@ -21,13 +21,10 @@
 //!   This is the default production solver.
 //! * [`bnb`] — exact branch-and-bound (depth-first with an admissible
 //!   bound); handles any `k`, used to cross-check `threshold`.
-//! * [`greedy`] — `O(k²)` local-descent heuristic, for the solver-scaling
-//!   ablation.
 
 pub mod bnb;
 pub mod exhaustive;
 pub mod fractional;
-pub mod greedy;
 pub mod matrix;
 pub mod threshold;
 
@@ -67,7 +64,6 @@ pub enum SolverKind {
     Matrix,
     Threshold,
     BranchAndBound,
-    Greedy,
 }
 
 impl SolverKind {
@@ -77,7 +73,6 @@ impl SolverKind {
             SolverKind::Matrix => "matrix",
             SolverKind::Threshold => "threshold",
             SolverKind::BranchAndBound => "bnb",
-            SolverKind::Greedy => "greedy",
         }
     }
 }
@@ -112,7 +107,6 @@ pub fn solve(kind: SolverKind, items: &[Item]) -> Assignment {
         SolverKind::Matrix => matrix::solve(items),
         SolverKind::Threshold => threshold::solve(items),
         SolverKind::BranchAndBound => bnb::solve(items),
-        SolverKind::Greedy => greedy::solve(items),
     }
 }
 
@@ -132,7 +126,6 @@ mod tests {
             SolverKind::Matrix,
             SolverKind::Threshold,
             SolverKind::BranchAndBound,
-            SolverKind::Greedy,
         ] {
             let a = solve(kind, &[]);
             assert!(a.active.is_empty());
@@ -202,22 +195,10 @@ mod cross_solver_tests {
             prop_assert!((m.time - brute.time).abs() < 1e-9);
         }
 
-        /// Greedy is feasible and never worse than both trivial policies.
-        #[test]
-        fn greedy_beats_trivial_policies(items in arb_items(12)) {
-            let g = greedy::solve(&items);
-            prop_assert!((assignment_time(&items, &g.active) - g.time).abs() < 1e-9);
-            let all_a = assignment_time(&items, &vec![true; items.len()]);
-            let all_n = assignment_time(&items, &vec![false; items.len()]);
-            prop_assert!(g.time <= all_a + 1e-9);
-            prop_assert!(g.time <= all_n + 1e-9);
-        }
-
         /// Policy-arena pin (ISSUE 7): the solver family behind the
         /// refactored `policy::CePolicy` stays in exact agreement up to
         /// k = 16 — `threshold` and `bnb` match the 2^16 brute force on
-        /// optimal cost, and `greedy` is feasible but never better than
-        /// optimal.
+        /// optimal cost.
         #[test]
         fn solvers_cross_check_to_k16(items in arb_items(16)) {
             let brute = exhaustive::solve(&items);
@@ -229,11 +210,6 @@ mod cross_solver_tests {
                 prop_assert!((got.time - brute.time).abs() < 1e-9,
                     "{} found {} but optimum is {}", kind.name(), got.time, brute.time);
             }
-            let g = greedy::solve(&items);
-            prop_assert!((assignment_time(&items, &g.active) - g.time).abs() < 1e-9,
-                "greedy reported time disagrees with its assignment");
-            prop_assert!(g.time >= brute.time - 1e-9,
-                "greedy {} beat the optimum {}", g.time, brute.time);
         }
 
         /// Homogeneous batches (the paper's experimental setting) have

@@ -5,7 +5,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 struct Entry<E> {
     time: SimTime,
@@ -36,11 +36,12 @@ impl<E> Ord for Entry<E> {
 /// A time-ordered queue of simulation events.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs of cancelled-but-still-enqueued entries (tombstones): dropped
-    /// at the head instead of eagerly dug out of the heap. The contract is
-    /// that only *pending* seqs are ever cancelled, so every tombstone is
-    /// guaranteed to still be in `heap`.
-    dead: HashSet<u64>,
+    /// Bitset over seqs: bit `seq` is set once that entry is cancelled
+    /// (a tombstone). Tombstones are dropped at the head instead of dug out
+    /// of the heap. Only *pending* seqs are ever cancelled, so every
+    /// tombstone is still in `heap` until purged; `dead_pending` counts them.
+    dead: Vec<u64>,
+    dead_pending: usize,
     seq: u64,
     popped: u64,
     cancelled: u64,
@@ -56,7 +57,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            dead: HashSet::new(),
+            dead: Vec::new(),
+            dead_pending: 0,
             seq: 0,
             popped: 0,
             cancelled: 0,
@@ -64,7 +66,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at absolute time `time`. Returns the entry's seq,
-    /// usable with [`EventQueue::cancel`] while the entry is pending.
+    /// which identifies the entry for cancellation while it is pending.
     pub fn push(&mut self, time: SimTime, event: E) -> u64 {
         let seq = self.seq;
         self.seq += 1;
@@ -74,19 +76,32 @@ impl<E> EventQueue<E> {
 
     /// Cancel the pending entry with the given seq: it will never be
     /// dispatched and does not count toward `dispatched_count`. The caller
-    /// must guarantee the entry is still pending (not yet popped).
-    pub fn cancel(&mut self, seq: u64) {
-        self.dead.insert(seq);
+    /// must guarantee the entry is still pending (not yet popped), which is
+    /// why only [`Timer`](crate::timer::Timer) reaches this, via
+    /// `Scheduler::cancel`.
+    pub(crate) fn cancel(&mut self, seq: u64) {
+        let word = (seq / 64) as usize;
+        if word >= self.dead.len() {
+            self.dead.resize(word + 1, 0);
+        }
+        self.dead[word] |= 1 << (seq % 64);
+        self.dead_pending += 1;
         self.cancelled += 1;
+    }
+
+    fn is_dead(&self, seq: u64) -> bool {
+        self.dead
+            .get((seq / 64) as usize)
+            .is_some_and(|w| w >> (seq % 64) & 1 == 1)
     }
 
     /// Drop cancelled entries sitting at the heap's head.
     fn purge_dead(&mut self) {
-        while !self.dead.is_empty() {
+        while self.dead_pending > 0 {
             match self.heap.peek() {
-                Some(head) if self.dead.contains(&head.seq) => {
-                    let e = self.heap.pop().expect("peeked entry");
-                    self.dead.remove(&e.seq);
+                Some(head) if self.is_dead(head.seq) => {
+                    self.heap.pop();
+                    self.dead_pending -= 1;
                 }
                 _ => break,
             }
@@ -108,7 +123,7 @@ impl<E> EventQueue<E> {
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len() - self.dead.len()
+        self.heap.len() - self.dead_pending
     }
 
     pub fn is_empty(&self) -> bool {

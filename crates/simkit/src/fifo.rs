@@ -5,10 +5,11 @@
 //! thread pool. The caller supplies the service time at submission; the
 //! resource tracks queueing, start and completion.
 //!
-//! Like [`crate::share::ShareResource`], the caller drives time: it schedules
-//! a tick for [`next_event`](FifoServer::next_event) carrying
-//! [`epoch`](FifoServer::epoch) and calls
-//! [`take_completed`](FifoServer::take_completed) when the tick fires.
+//! Like [`crate::share::ShareResource`], the caller drives time: after each
+//! change it re-arms a [`Timer`](crate::timer::Timer) with
+//! [`next_event`](FifoServer::next_event) and [`epoch`](FifoServer::epoch),
+//! and calls [`take_completed`](FifoServer::take_completed) when the tick
+//! fires.
 
 use crate::time::{SimSpan, SimTime};
 use std::collections::VecDeque;

@@ -11,10 +11,10 @@
 //! * [`component`] — [`component::Component`]/[`component::Routed`]: split a
 //!   world into event-routed subsystems without changing its event schedule.
 //! * [`share`] — a generalized processor-sharing resource with max-min fair
-//!   allocation and epoch-based completion-event invalidation; models
-//!   multi-core CPUs and fair-share network links.
+//!   allocation; models multi-core CPUs and fair-share network links.
 //! * [`fifo`] — a multi-server FIFO queueing resource; models disks and
 //!   request queues with explicit service times.
+//! * [`timer`] — [`Timer`], the one armed completion tick per resource.
 //! * [`stats`] — time-weighted statistics, tallies and series recorders.
 //! * [`rng`] — seed-derived deterministic random streams.
 //! * [`fault`] — deterministic, seed-driven fault plans (time-windowed
@@ -29,11 +29,12 @@
 //!   no interior mutability and no global state, so simulations are trivially
 //!   reproducible and `Send`.
 //! * Resources never schedule events themselves. They expose
-//!   "next interesting time" queries plus an *epoch*; the world schedules a
-//!   tick carrying the epoch and ignores the tick if the epoch moved on.
-//!   Worlds that track their pending tick can additionally revoke a
-//!   superseded one via [`Scheduler::cancel`] (a lazy tombstone in the
-//!   queue), so stale ticks need not be dispatched at all.
+//!   "next interesting time" queries plus an *epoch* that moves on every
+//!   change; the world keeps one [`Timer`] per resource and re-arms it after
+//!   each change. The timer keeps at most one tick pending and cancels a
+//!   superseded one in the queue (a lazy tombstone), so no stale tick is
+//!   ever dispatched. Cancellation is crate-private: the timer is its only
+//!   user.
 
 pub mod component;
 pub mod event;
@@ -45,13 +46,15 @@ pub mod share;
 pub mod span;
 pub mod stats;
 pub mod time;
+pub mod timer;
 
 pub use component::{Component, Routed};
 pub use event::EventQueue;
-pub use executor::{DispatchStat, EventHandle, ExecProfile, Scheduler, Simulation, World};
+pub use executor::{DispatchStat, ExecProfile, Scheduler, Simulation, World};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fifo::FifoServer;
 pub use rng::RngFactory;
 pub use share::{ShareResource, TaskId};
 pub use span::{Hop, SpanChain};
 pub use time::{SimSpan, SimTime};
+pub use timer::Timer;

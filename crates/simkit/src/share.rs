@@ -28,10 +28,11 @@
 //! allocation, forcing a full refill before the next query, so that
 //! minimum is always current.
 //!
-//! The caller schedules a completion tick for
-//! [`next_completion`](ShareResource::next_completion) carrying the current
-//! [`epoch`](ShareResource::epoch); if the epoch moved on by the time the tick
-//! fires, the tick is stale and must be ignored.
+//! The caller re-arms a [`Timer`](crate::timer::Timer) with
+//! [`next_completion`](ShareResource::next_completion) and
+//! [`epoch`](ShareResource::epoch) after every change; the timer cancels a
+//! superseded tick, so the tick that fires always finds the epoch it was
+//! armed with.
 
 use crate::time::{SimSpan, SimTime};
 use std::collections::BTreeMap;
@@ -145,8 +146,8 @@ impl ShareResource {
     /// Change total capacity (e.g. cores taken away for other duties).
     /// A capacity of exactly `0.0` is allowed — an injected fault can stall
     /// the resource completely; every task then runs at rate 0 and
-    /// [`next_completion`] reports no upcoming completion rather than an
-    /// infinite span.
+    /// [`next_completion`](Self::next_completion) reports no upcoming
+    /// completion rather than an infinite span.
     pub fn set_capacity(&mut self, now: SimTime, capacity: f64) {
         assert!(
             capacity.is_finite() && capacity >= 0.0,
@@ -157,7 +158,7 @@ impl ShareResource {
         self.bump();
     }
 
-    /// Current membership-change epoch. Completion ticks must carry this.
+    /// Current membership-change epoch: the completion timer's key.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

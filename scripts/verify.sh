@@ -47,6 +47,13 @@ cargo test -q -p simkit --lib slot_indexed_share_matches_reference
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
 cargo test -q -p cluster --lib outputs_keep_flow_id_order_under_slot_reuse
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
+# One armed tick per resource (DESIGN.md §5.2): the simkit timer keeps an
+# identical re-arm's earlier seq, cancels a superseded or unneeded tick
+# (even one due now) and never dispatches a cancelled one; on the paper
+# workload every cancelled event is a suppressed disk, CPU or fabric tick,
+# and scheduled = dispatched + cancelled.
+cargo test -q -p simkit --lib timer::tests
+cargo test -q --test obs_determinism paper_workload_cancels_only_suppressed_resource_ticks
 # Per-event cost independent of cluster size (DESIGN.md §6, §15): the
 # indexed fault plan must answer every query exactly like a linear scan of
 # the plan, a fault boundary must visit only the nodes that change there,

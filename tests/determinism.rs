@@ -61,8 +61,8 @@ fn runs_distinguish_seeds() {
 }
 
 /// Scheduled-vs-dispatched accounting: a run-to-drain simulation dispatches
-/// every event it ever scheduled except the stale `NetTick`s the incremental
-/// fabric revoked before they could fire.
+/// every event it ever scheduled except the superseded disk, CPU and fabric
+/// ticks the resource timers cancelled before they could fire.
 #[test]
 fn run_to_drain_dispatches_every_scheduled_event() {
     let metrics = Driver::run(
@@ -77,7 +77,7 @@ fn run_to_drain_dispatches_every_scheduled_event() {
     assert!(metrics.events > 0);
     assert!(
         metrics.events_cancelled > 0,
-        "a contended workload must supersede at least one NetTick"
+        "a contended workload must supersede at least one tick"
     );
 }
 

@@ -2,29 +2,22 @@
 //!
 //! Every scheme (TS / AS / DOSAS / DOSAS-partial) runs a fixed workload on
 //! the paper's jittered testbed across three seeds; the full serialized
-//! `RunMetrics` (records, counters, policy log, event count) must match the
-//! committed snapshot byte for byte. Any change to event ordering, resource
+//! `RunMetrics` (records, counters, policy log, event counts) must match the
+//! committed snapshot byte for byte, in a model and an engine-counter tier
+//! (`tests/common`). Any change to event ordering, resource
 //! accounting, or RNG stream consumption anywhere in the stack shows up
 //! here — which is exactly what lets refactors prove themselves
 //! behaviour-preserving (the same determinism discipline as
 //! `tests/failure_scenarios.rs`).
 //!
-//! Regenerating after an *intentional* behaviour change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test golden_metrics
-//! git diff tests/golden/   # review every changed number before committing
-//! ```
+//! Regenerate after an *intentional* change with
+//! `UPDATE_GOLDEN=1 cargo test --test golden_metrics` (see `tests/common`).
+
+mod common;
 
 use dosas_repro::prelude::*;
-use std::fs;
-use std::path::PathBuf;
 
 const MIB: u64 = 1024 * 1024;
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
 
 /// The paper's testbed (jitter on, so seeds genuinely differ), fixed rates.
 fn cfg(scheme: Scheme, seed: u64) -> DriverConfig {
@@ -59,32 +52,10 @@ fn schemes() -> Vec<(&'static str, Scheme)> {
 
 #[test]
 fn golden_run_metrics_are_bit_identical() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
-    if update {
-        fs::create_dir_all(golden_dir()).expect("create tests/golden");
-    }
     for (key, scheme) in schemes() {
         for seed in [1u64, 2, 3] {
             let metrics = Driver::run(cfg(scheme.clone(), seed), &workload());
-            let mut json = serde_json::to_string_pretty(&metrics).expect("RunMetrics serializes");
-            json.push('\n');
-            let path = golden_dir().join(format!("{key}-seed{seed}.json"));
-            if update {
-                fs::write(&path, &json).expect("write golden snapshot");
-                continue;
-            }
-            let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden snapshot {path:?} ({e}); regenerate with \
-                     UPDATE_GOLDEN=1 cargo test --test golden_metrics"
-                )
-            });
-            assert_eq!(
-                json, expected,
-                "{key} seed {seed}: RunMetrics diverged from {path:?}; if the \
-                 change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-                 review the diff"
-            );
+            common::check_golden(&format!("{key}-seed{seed}"), &metrics);
         }
     }
 }

@@ -4,31 +4,46 @@
 use cluster::{ClusterConfig, ClusterState, NodeId};
 use mpiio::Communicator;
 use pfs::{MetadataServer, ReadPlan, ReadTracker, StripeLayout};
-use simkit::{RngFactory, Scheduler, SimSpan, SimTime, Simulation, World};
+use simkit::{RngFactory, Scheduler, SimSpan, SimTime, Simulation, Timer, World};
 
 /// A hand-rolled mini-world: one client reads a striped file by driving the
-/// fabric and disks directly. Validates that the substrate crates compose
-/// without the dosas driver.
+/// fabric and disks directly, with one completion timer per resource.
+/// Validates that the substrate crates compose without the dosas driver.
 struct MiniWorld {
     cluster: ClusterState,
+    disk_timers: Vec<Timer>,
+    net_timer: Timer,
     pending_flows: usize,
     done_at: Option<SimTime>,
 }
 
 #[derive(Debug)]
 enum Ev {
-    DiskTick { ordinal: usize, epoch: u64 },
-    NetTick { epoch: u64 },
+    DiskTick(usize),
+    NetTick,
+}
+
+impl MiniWorld {
+    fn arm_disk(&mut self, ordinal: usize, sched: &mut Scheduler<Ev>) {
+        let disk = &self.cluster.disks[ordinal];
+        let (next, epoch) = (disk.next_event(), disk.epoch());
+        self.disk_timers[ordinal].arm(sched, next, epoch, Ev::DiskTick(ordinal));
+    }
+
+    fn arm_net(&mut self, sched: &mut Scheduler<Ev>) {
+        let next = self.cluster.fabric.next_completion();
+        let epoch = self.cluster.fabric.epoch();
+        self.net_timer.arm(sched, next, epoch, Ev::NetTick);
+    }
 }
 
 impl World for MiniWorld {
     type Event = Ev;
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
-            Ev::DiskTick { ordinal, epoch } => {
-                if self.cluster.disks[ordinal].epoch() != epoch {
-                    return;
-                }
+            Ev::DiskTick(ordinal) => {
+                let armed = self.disk_timers[ordinal].fired();
+                assert_eq!(armed, self.cluster.disks[ordinal].epoch());
                 for _ in self.cluster.disks[ordinal].take_completed(now) {
                     // Disk done: ship 1 MiB to the client (node 0).
                     let src = self.cluster.storage_node(ordinal);
@@ -36,42 +51,19 @@ impl World for MiniWorld {
                         .fabric
                         .start_flow(now, src, NodeId(0), 1024.0 * 1024.0);
                     self.pending_flows += 1;
-                    if let Some(t) = self.cluster.fabric.next_completion() {
-                        sched.at(
-                            t,
-                            Ev::NetTick {
-                                epoch: self.cluster.fabric.epoch(),
-                            },
-                        );
-                    }
+                    self.arm_net(sched);
                 }
-                if let Some(t) = self.cluster.disks[ordinal].next_event() {
-                    sched.at(
-                        t,
-                        Ev::DiskTick {
-                            ordinal,
-                            epoch: self.cluster.disks[ordinal].epoch(),
-                        },
-                    );
-                }
+                self.arm_disk(ordinal, sched);
             }
-            Ev::NetTick { epoch } => {
-                if self.cluster.fabric.epoch() != epoch {
-                    return;
-                }
+            Ev::NetTick => {
+                let armed = self.net_timer.fired();
+                assert_eq!(armed, self.cluster.fabric.epoch());
                 let done = self.cluster.fabric.take_completed(now).len();
                 self.pending_flows -= done;
                 if done > 0 && self.pending_flows == 0 {
                     self.done_at = Some(now);
                 }
-                if let Some(t) = self.cluster.fabric.next_completion() {
-                    sched.at(
-                        t,
-                        Ev::NetTick {
-                            epoch: self.cluster.fabric.epoch(),
-                        },
-                    );
-                }
+                self.arm_net(sched);
             }
         }
     }
@@ -94,13 +86,17 @@ fn substrate_composes_without_the_driver() {
     }
     let mut sim = Simulation::new(MiniWorld {
         cluster,
+        disk_timers: Vec::new(),
+        net_timer: Timer::default(),
         pending_flows: 0,
         done_at: None,
     });
     for ordinal in 0..2 {
-        let t = sim.world.cluster.disks[ordinal].next_event().unwrap();
-        let epoch = sim.world.cluster.disks[ordinal].epoch();
-        sim.scheduler().at(t, Ev::DiskTick { ordinal, epoch });
+        let disk = &sim.world.cluster.disks[ordinal];
+        let (next, epoch) = (disk.next_event(), disk.epoch());
+        let mut timer = Timer::default();
+        timer.arm(sim.scheduler(), next, epoch, Ev::DiskTick(ordinal));
+        sim.world.disk_timers.push(timer);
     }
     sim.run();
     let done = sim.world.done_at.expect("both transfers completed");

@@ -13,9 +13,9 @@
 //! * the sampled cumulative queue-depth integrals reproduce
 //!   `RunMetrics::mean_queue_depth` to within 1e-9 (same float operations
 //!   as the driver's own time-weighted accumulator);
-//! * the fabric counters account for every cancelled event: on the paper
-//!   workload each cancellation is a stale `NetTick` the incremental
-//!   fabric suppressed (DESIGN.md §10).
+//! * the resource-timer counters account for every cancelled event: on the
+//!   paper workload each cancellation is a disk, CPU or fabric tick its
+//!   timer suppressed (DESIGN.md §5.2).
 
 use dosas_repro::prelude::*;
 
@@ -139,11 +139,12 @@ fn empty_workload_yields_finite_metrics() {
     }
 }
 
-/// The paper workload (64 ranks × 256 MiB `gaussian2d` on Discfarm, seed
-/// 42) cancels 63 events, and every one is a stale `NetTick` the
-/// incremental fabric suppressed; none is a deduplicated tick.
+/// Tick accounting across all three resources on the paper workload (64
+/// ranks × 256 MiB `gaussian2d` on Discfarm, seed 42): every cancelled
+/// event is a disk, CPU or fabric tick its resource timer suppressed, and
+/// every other scheduled event was dispatched.
 #[test]
-fn paper_workload_cancels_only_suppressed_net_ticks() {
+fn paper_workload_cancels_only_suppressed_resource_ticks() {
     let mut cfg = DriverConfig::paper(Scheme::dosas_default());
     cfg.seed = 42;
     cfg.obs = ObsConfig::enabled();
@@ -156,12 +157,18 @@ fn paper_workload_cancels_only_suppressed_net_ticks() {
     );
     let m = Driver::run(cfg, &w);
     let report = m.obs.as_ref().expect("obs enabled");
-    let fabric = |name| {
+    let counter = |component, name| {
         report
             .metrics
-            .counter_value("fabric", name, dosas_repro::obs::Label::None)
+            .counter_value(component, name, dosas_repro::obs::Label::None)
     };
-    assert_eq!(fabric("net_ticks_suppressed"), m.events_cancelled);
-    assert_eq!(m.events_cancelled, 63);
-    assert_eq!(fabric("net_ticks_deduped"), 0);
+    let (net, disk, cpu) = (
+        counter("fabric", "net_ticks_suppressed"),
+        counter("disk", "ticks_suppressed"),
+        counter("cpu", "ticks_suppressed"),
+    );
+    // 63 fabric, 63 disk and 35 CPU ticks today: all three take part.
+    assert!(net > 0 && disk > 0 && cpu > 0, "{net} {disk} {cpu}");
+    assert_eq!(m.events_cancelled, net + disk + cpu);
+    assert_eq!(m.events_scheduled, m.events + m.events_cancelled);
 }

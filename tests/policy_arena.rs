@@ -9,19 +9,15 @@
 //! the pre-existing `golden_metrics` / `tenant_scenarios` tests — this
 //! file covers the policies the refactor made pluggable.)
 //!
-//! Regenerating after an *intentional* behaviour change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test policy_arena
-//! git diff tests/golden/   # review every changed number before committing
-//! ```
+//! Regenerate after an *intentional* change with
+//! `UPDATE_GOLDEN=1 cargo test --test policy_arena` (see `tests/common`).
+
+mod common;
 
 use bench::policy_matrix;
 use bench::scenarios;
 use dosas::policy::PolicyConfig;
 use dosas_repro::prelude::*;
-use std::fs;
-use std::path::PathBuf;
 
 /// The pinned cells: policies paired with the scenario that exercises
 /// their decision machinery (restripe demotes the straggler's kernels,
@@ -32,45 +28,14 @@ const PINNED: &[(&str, &str)] = &[
     ("pi", "fault-storm"),
 ];
 
-fn golden_path(policy: &str, scenario: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("policy-{policy}-{scenario}.json"))
-}
-
-fn run_json(policy: &str, scenario: &str) -> String {
-    let s = scenarios::by_name(scenario).expect("pinned scenario exists");
-    let p = PolicyConfig::by_name(policy).expect("pinned policy exists");
-    let cfg = policy_matrix::with_policy(&s.cfg, p);
-    let m = Driver::run(cfg, &s.workload);
-    let mut json = serde_json::to_string_pretty(&m).expect("RunMetrics serializes");
-    json.push('\n');
-    json
-}
-
 /// Golden snapshots, one per pinned (policy, scenario) cell.
 #[test]
 fn pinned_policy_cells_match_golden_snapshots() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for &(policy, scenario) in PINNED {
-        let json = run_json(policy, scenario);
-        let path = golden_path(policy, scenario);
-        if update {
-            fs::write(&path, &json).expect("write golden snapshot");
-            continue;
-        }
-        let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {path:?} ({e}); regenerate with \
-                 UPDATE_GOLDEN=1 cargo test --test policy_arena"
-            )
-        });
-        assert_eq!(
-            json, expected,
-            "{policy} x {scenario}: RunMetrics diverged from {path:?}; if \
-             the change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-             review the diff"
-        );
+        let s = scenarios::by_name(scenario).expect("pinned scenario exists");
+        let p = PolicyConfig::by_name(policy).expect("pinned policy exists");
+        let m = Driver::run(policy_matrix::with_policy(&s.cfg, p), &s.workload);
+        common::check_golden(&format!("policy-{policy}-{scenario}"), &m);
     }
 }
 

@@ -5,59 +5,25 @@
 //! deterministically, pins a golden `RunMetrics` snapshot, and replays it
 //! byte for byte.
 //!
-//! Regenerating after an *intentional* behaviour change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test tenant_scenarios
-//! git diff tests/golden/   # review every changed number before committing
-//! ```
+//! Regenerate after an *intentional* change with
+//! `UPDATE_GOLDEN=1 cargo test --test tenant_scenarios` (see `tests/common`).
+
+mod common;
 
 use bench::scenarios;
 use dosas_repro::prelude::*;
 use std::fs;
-use std::path::PathBuf;
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    golden_dir().join(format!("scenario-{name}.json"))
-}
 
 fn run_json(s: &scenarios::Scenario) -> String {
-    let m = Driver::run(s.cfg.clone(), &s.workload);
-    let mut json = serde_json::to_string_pretty(&m).expect("RunMetrics serializes");
-    json.push('\n');
-    json
+    common::snapshot_json(&Driver::run(s.cfg.clone(), &s.workload))
 }
 
 /// Golden snapshots: one per scenario, byte-for-byte.
 #[test]
 fn scenario_metrics_match_golden_snapshots() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
-    if update {
-        fs::create_dir_all(golden_dir()).expect("create tests/golden");
-    }
     for s in scenarios::all() {
-        let json = run_json(&s);
-        let path = golden_path(s.name);
-        if update {
-            fs::write(&path, &json).expect("write golden snapshot");
-            continue;
-        }
-        let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {path:?} ({e}); regenerate with \
-                 UPDATE_GOLDEN=1 cargo test --test tenant_scenarios"
-            )
-        });
-        assert_eq!(
-            json, expected,
-            "scenario {}: RunMetrics diverged from {path:?}; if the change \
-             is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff",
-            s.name
-        );
+        let m = Driver::run(s.cfg.clone(), &s.workload);
+        common::check_golden(&format!("scenario-{}", s.name), &m);
     }
 }
 
