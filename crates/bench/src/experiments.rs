@@ -3,7 +3,7 @@
 use crate::report::Table;
 use crate::{mean_makespan, run_point, PAPER_NS};
 use dosas::estimator::{ContentionEstimator, Decision};
-use dosas::{OpRates, Scheme, SolverKind};
+use dosas::{OpRates, Scheme};
 use kernels::calibrate::{measure_rate, synthetic_f64_stream, synthetic_image};
 use kernels::{GaussianFilter2D, GaussianOutput, SumKernel};
 
@@ -169,7 +169,6 @@ pub fn table4_situations() -> Vec<Situation> {
 /// measured accuracy.
 pub fn table4() -> (Table, f64) {
     let estimator = ContentionEstimator::new(
-        SolverKind::Threshold,
         OpRates::paper(),
         1.0, // storage kernel cores (2 cores − 1 service core)
         1.0,

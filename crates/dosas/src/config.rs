@@ -111,7 +111,6 @@ impl Scheme {
     pub fn dosas_partial() -> Self {
         Scheme::Dosas(DosasConfig {
             partial_offload: true,
-            kernel_fifo: true,
             ..Default::default()
         })
     }
@@ -145,18 +144,19 @@ pub struct DosasConfig {
     /// between the storage node and the client (planned mid-kernel
     /// migration) instead of the binary offload/demote decision. See
     /// [`crate::schedule::fractional`].
+    ///
+    /// Partial offload also runs kernels from a FIFO work queue (one per
+    /// kernel core) instead of processor-sharing all admitted kernels: FIFO
+    /// pipelines each request's result/residue transfer behind the next
+    /// kernel, which is what realizes the partial-offload overlap.
+    /// Processor sharing is the paper's (and the binary mode's) behaviour.
     pub partial_offload: bool,
     /// Plan with an online bandwidth estimate (EWMA over the storage
     /// node's observed saturated-link throughput) instead of the nominal
     /// bandwidth. Extension: addresses the paper's first misjudgment cause
-    /// ("the network bandwidth is not always fixed in practice").
+    /// ("the network bandwidth is not always fixed in practice"). The
+    /// estimate is trusted from [`MIN_BW_SAMPLES`] observations on.
     pub estimate_bandwidth: bool,
-    /// Run kernels from a FIFO work queue (one per kernel core) instead of
-    /// processor-sharing all admitted kernels. FIFO pipelines each
-    /// request's result/residue transfer behind the next kernel, which is
-    /// what realizes the partial-offload overlap; processor sharing is the
-    /// paper's (and the default binary mode's) behaviour.
-    pub kernel_fifo: bool,
     /// Probe robustness: timeout/retry/staleness handling for the CE's
     /// probe loop (fault-injection extension; no effect when probes never
     /// fail).
@@ -187,13 +187,13 @@ pub struct ProbeConfig {
     /// Maximum age (`now - generated_at`) at which a policy may still be
     /// applied; exactly at the bound is still usable.
     pub staleness_bound: SimSpan,
-    /// Minimum per-node observation count before an online bandwidth
-    /// estimate is trusted (used by the EWMA sampler's consumers and the
-    /// end-of-run `estimated_bandwidth` report). Below the threshold the
-    /// estimate is treated as absent.
-    #[serde(default)]
-    pub min_bw_samples: u32,
 }
+
+/// Minimum per-node observation count before an online bandwidth estimate
+/// ([`DosasConfig::estimate_bandwidth`]) is trusted, by the CE's planning
+/// and by the end-of-run `estimated_bandwidth` report. Below it the
+/// estimate is treated as absent.
+pub const MIN_BW_SAMPLES: u32 = 3;
 
 impl Default for ProbeConfig {
     fn default() -> Self {
@@ -202,7 +202,6 @@ impl Default for ProbeConfig {
             max_retries: 2,
             retry_backoff: SimSpan::from_millis(20),
             staleness_bound: SimSpan::from_millis(300),
-            min_bw_samples: 3,
         }
     }
 }
@@ -261,7 +260,6 @@ impl Default for DosasConfig {
             decide_on_arrival: true,
             partial_offload: false,
             estimate_bandwidth: false,
-            kernel_fifo: false,
             probe: ProbeConfig::default(),
         }
     }
@@ -302,17 +300,11 @@ mod tests {
 
     #[test]
     fn dosas_defaults() {
-        use crate::schedule::SolverKind;
         let c = DosasConfig::default();
         assert!(c.allow_interrupt);
         assert!(c.decide_on_arrival);
         assert!(!c.partial_offload);
-        assert_eq!(
-            c.policy,
-            PolicyConfig::Ce {
-                solver: SolverKind::Threshold
-            }
-        );
+        assert_eq!(c.policy, PolicyConfig::Ce);
     }
 
     #[test]
@@ -320,7 +312,6 @@ mod tests {
         match Scheme::dosas_partial() {
             Scheme::Dosas(c) => {
                 assert!(c.partial_offload);
-                assert!(c.kernel_fifo);
             }
             _ => unreachable!(),
         }

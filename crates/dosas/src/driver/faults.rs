@@ -3,41 +3,18 @@
 //! At each fault-plan transition boundary the driver re-derives the
 //! absolute degradation state (CPU capacity factors, per-node link
 //! factors) and pushes it into the cluster resources, and turns disk-stall
-//! windows into blocking zero-byte disk requests tracked in `stall_reqs`
-//! (filtered out of completion handling by the [`server`](super::server)
-//! subsystem). Probe loss/delay and checkpoint-ship failures are *not*
-//! applied here — they are point lookups on the plan at the moment the
-//! affected action happens, in [`control`](super::control) and
-//! [`io_path`](super::io_path). Routed events: [`Ev::Fault`](super::Ev::Fault).
+//! windows into blocking zero-byte disk requests owned by
+//! [`DiskWork::Stall`] in the [`server`](super::server) disk table. Probe
+//! loss/delay and checkpoint-ship failures are *not* applied here — they
+//! are point lookups on the plan at the moment the affected action
+//! happens, in [`control`](super::control) and
+//! [`io_path`](super::io_path). Handled events:
+//! [`Ev::Fault`](super::Ev::Fault). The module keeps no state of its own.
 
-use super::{Driver, Ev, Subsystem};
+use super::server::DiskWork;
+use super::{Driver, Ev};
 use cluster::NodeId;
-use simkit::component::Component;
-use simkit::fifo::ReqId as DiskReqId;
 use simkit::{Scheduler, SimSpan, SimTime};
-use std::collections::BTreeSet;
-
-/// Fault-injection state embedded in [`Driver`].
-#[derive(Default)]
-pub(super) struct Faults {
-    /// Injected disk-stall requests, filtered out of completion handling.
-    pub(super) stall_reqs: BTreeSet<(usize, DiskReqId)>,
-}
-
-/// Routed-event entry point for the subsystem.
-pub(super) struct FaultsComponent;
-
-impl Component<Driver> for FaultsComponent {
-    const ROUTE: Subsystem = Subsystem::Faults;
-    const NAME: &'static str = "faults";
-
-    fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::Fault => world.apply_faults(now, sched),
-            _ => unreachable!("non-fault event routed to faults"),
-        }
-    }
-}
 
 impl Driver {
     /// Re-evaluate the fault plan at a window boundary and push the current
@@ -48,7 +25,7 @@ impl Driver {
     /// nodes the plan lists for `now` are visited, in ascending id order
     /// (the order `schedule_cpu` sequences its events in); ids beyond the
     /// cluster are ignored.
-    fn apply_faults(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn apply_faults(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         let plan = &self.cfg.fault_plan;
         if plan.is_empty() {
             return;
@@ -95,8 +72,7 @@ impl Driver {
             }
         }
         // Disk stalls opening at exactly this boundary become blocking
-        // zero-byte requests; their completions are filtered in
-        // `on_disk_tick` via `stall_reqs`.
+        // zero-byte requests; `on_disk_tick` drops their completions.
         let window_end = now + SimSpan::from_nanos(1);
         for &node in &nodes {
             let server = NodeId(node);
@@ -112,7 +88,9 @@ impl Driver {
             let ordinal = self.cluster.storage_ordinal(server);
             for duration in stalls {
                 let rid = self.cluster.disks[ordinal].inject_stall(now, duration);
-                self.faults.stall_reqs.insert((ordinal, rid));
+                self.server
+                    .disk_work
+                    .insert((ordinal, rid), DiskWork::Stall);
                 self.schedule_disk(ordinal, sched);
             }
         }

@@ -2,10 +2,10 @@
 //!
 //! Owns the file-system face of the simulation (metadata + in-memory
 //! store), the per-part request table, the app-I/O assembly state, and the
-//! flow bookkeeping for transfers in flight. Covers issue → stripe →
-//! arrive → deliver for reads, the client → server → disk → ack write
-//! path, server buffer caches, and client-side result assembly (data
-//! plane). Routed events: [`Ev::Arrive`](super::Ev::Arrive),
+//! fabric's owner table ([`FlowWork`]) for transfers in flight. Covers
+//! issue → stripe → arrive → deliver for reads, the client → server →
+//! disk → ack write path, server buffer caches, and client-side result
+//! assembly (data plane). Handled events: [`Ev::Arrive`](super::Ev::Arrive),
 //! [`Ev::NetTick`](super::Ev::NetTick), [`Ev::Deliver`](super::Ev::Deliver).
 //!
 //! Split into [`types`] (request/app state) and [`assembly`] (pure
@@ -20,8 +20,8 @@ mod types;
 pub(super) use types::{AppIo, AppIoId, FileSpan, IssueKind, Piece, Req};
 
 use super::autopsy::ReqStage;
-use super::server::CpuWork;
-use super::{Driver, Ev, Subsystem};
+use super::server::{CpuWork, DiskWork};
+use super::{Driver, Ev};
 use crate::asc::ClientAction;
 use crate::runtime::ServiceMode;
 use assembly::{assemble_result, cache_miss_bytes};
@@ -29,14 +29,25 @@ use cluster::{FlowId, NodeId};
 use mpiio::file::ResultBuf;
 use mpiio::status::ExecutionSite;
 use pfs::{BlockCache, IoKind, MemoryStore, MetadataServer, QueuedRequest, RequestId};
-use simkit::component::Component;
 use simkit::{Scheduler, SimTime, Timer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Wire-size estimate for a kernel checkpoint when the data plane is off
 /// (with real kernels the actual [`kernels::KernelState::wire_size`] is
 /// used).
 const STATE_SIZE_ESTIMATE: f64 = 256.0;
+
+/// What a fabric flow in flight carries.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum FlowWork {
+    /// A request's bytes: write payload, raw read data, or kernel result.
+    Request(RequestId),
+    /// A migrated shipment launched under a checkpoint-ship fault: it runs
+    /// its course and is then lost (see `on_checkpoint_ship_failed`).
+    Doomed(RequestId),
+    /// A message of the running MPI collective.
+    Collective,
+}
 
 /// I/O-path state embedded in [`Driver`].
 pub(super) struct IoPath {
@@ -45,9 +56,8 @@ pub(super) struct IoPath {
     pub(super) ascs: BTreeMap<NodeId, crate::asc::ActiveStorageClient>,
     pub(super) reqs: BTreeMap<RequestId, Req>,
     pub(super) apps: BTreeMap<AppIoId, AppIo>,
-    pub(super) flow_req: BTreeMap<FlowId, RequestId>,
-    /// Migrated-data flows doomed by an active checkpoint-ship fault.
-    pub(super) doomed_flows: BTreeSet<FlowId>,
+    /// Owner of every fabric flow in flight.
+    pub(super) flows: BTreeMap<FlowId, FlowWork>,
     /// Optional per-storage-node buffer caches (ClusterConfig knob).
     pub(super) caches: BTreeMap<NodeId, BlockCache>,
     pub(super) next_req: u64,
@@ -65,23 +75,6 @@ pub(super) struct IoPath {
     pub(super) rate_caps_applied: u64,
 }
 
-/// Routed-event entry point for the subsystem.
-pub(super) struct IoPathComponent;
-
-impl Component<Driver> for IoPathComponent {
-    const ROUTE: Subsystem = Subsystem::IoPath;
-    const NAME: &'static str = "io_path";
-
-    fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::Arrive(id) => world.on_arrive(id, now, sched),
-            Ev::NetTick => world.on_net_tick(now, sched),
-            Ev::Deliver(id) => world.on_deliver(id, now, sched),
-            _ => unreachable!("non-I/O event routed to io_path"),
-        }
-    }
-}
-
 impl Driver {
     /// Re-arm the fabric's completion timer after a fabric change.
     pub(super) fn schedule_net(&mut self, sched: &mut Scheduler<Ev>) {
@@ -92,7 +85,7 @@ impl Driver {
 
     // ----- request pipeline -----
 
-    fn on_arrive(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_arrive(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
         let (server, kind, bytes, client, is_write) = {
             let r = &self.io.reqs[&id];
             let kind = match &r.op {
@@ -160,7 +153,7 @@ impl Driver {
         sched: &mut Scheduler<Ev>,
     ) -> FlowId {
         let flow = self.cluster.fabric.start_flow(now, src, dst, bytes);
-        self.io.flow_req.insert(flow, id);
+        self.io.flows.insert(flow, FlowWork::Request(id));
         {
             let nominal = self.cfg.cluster.nic_bandwidth;
             let r = self.io.reqs.get_mut(&id).expect("req");
@@ -208,7 +201,7 @@ impl Driver {
         // shipments launched under it: the transfer runs its course and
         // then fails instead of delivering (see `on_checkpoint_ship_failed`).
         if migrated && self.cfg.fault_plan.checkpoint_ship_fails(now, src.0) {
-            self.io.doomed_flows.insert(flow);
+            self.io.flows.insert(flow, FlowWork::Doomed(id));
         }
     }
 
@@ -258,7 +251,7 @@ impl Driver {
         self.submit_disk_read(server, id, bytes, now, sched);
     }
 
-    fn on_net_tick(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_net_tick(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         let armed = self.io.net_timer.fired();
         debug_assert_eq!(
             armed,
@@ -268,22 +261,26 @@ impl Driver {
         self.sample_bandwidth(now);
         let completions = self.cluster.fabric.take_completed(now);
         for c in completions {
-            if self.ranks.flow_coll.remove(&c.id) {
-                let run = self.ranks.collective.as_mut().expect("collective running");
-                if run.on_flow_done() {
-                    if run.done() {
-                        self.finish_collective(now, sched);
-                    } else {
-                        self.launch_collective_round(now, sched);
-                    }
-                }
-                continue;
-            }
-            let id = self
+            let work = self
                 .io
-                .flow_req
+                .flows
                 .remove(&c.id)
-                .expect("flow completion maps to a request");
+                .expect("flow completion maps to work");
+            let (id, doomed) = match work {
+                FlowWork::Request(id) => (id, false),
+                FlowWork::Doomed(id) => (id, true),
+                FlowWork::Collective => {
+                    let run = self.ranks.collective.as_mut().expect("collective running");
+                    if run.on_flow_done() {
+                        if run.done() {
+                            self.finish_collective(now, sched);
+                        } else {
+                            self.launch_collective_round(now, sched);
+                        }
+                    }
+                    continue;
+                }
+            };
             // Autopsy: close the transfer hop (doomed shipments included —
             // their lost transfer is part of the request's causal chain).
             // Writes stream client → server; every read-side flow streams
@@ -308,7 +305,7 @@ impl Driver {
                     Some(cause),
                 );
             }
-            if self.io.doomed_flows.remove(&c.id) {
+            if doomed {
                 self.on_checkpoint_ship_failed(id, now, sched);
                 continue;
             }
@@ -318,7 +315,9 @@ impl Driver {
                 let bytes = self.io.reqs[&id].bytes;
                 let ordinal = self.cluster.storage_ordinal(server);
                 let disk_id = self.cluster.disks[ordinal].submit_write(now, bytes);
-                self.server.disk_req.insert((ordinal, disk_id), id);
+                self.server
+                    .disk_work
+                    .insert((ordinal, disk_id), DiskWork::Request(id));
                 // Autopsy: arm the disk hop with the write's solo service
                 // time; the hop closes at disk completion.
                 let ideal = self.cluster.disks[ordinal]
@@ -335,7 +334,7 @@ impl Driver {
         self.schedule_net(sched);
     }
 
-    fn on_deliver(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_deliver(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
         let server = self.io.reqs[&id].server;
         // Per-server latency telemetry for contention policies (pure state,
         // no events — scheme behavior under the default policy is

@@ -17,21 +17,23 @@
 //!
 //! # Architecture
 //!
-//! The driver is decomposed into event-routed subsystems over simkit's
-//! [`Component`] layer (see DESIGN.md §7). Each subsystem owns a state
-//! struct embedded in [`Driver`] and the handlers for its routed events;
-//! cross-subsystem interaction is a direct method call inside the same
-//! dispatch, so the decomposition does not change the event schedule
-//! (proven by `tests/golden_metrics.rs`):
+//! The driver's handlers are split over modules (see DESIGN.md §7). Each
+//! module is an `impl Driver` block plus, where it has one, a state struct
+//! embedded in [`Driver`]; [`World::handle`] is one exhaustive `match` on
+//! [`Ev`] that calls the handler directly. Handlers interact by direct
+//! method calls inside the same dispatch, so the split does not change the
+//! event schedule (proven by `tests/golden_metrics.rs`). Each resource's
+//! completions resolve through one owner table: `IoPath::flows` for the
+//! fabric, `Servers::disk_work` for disks, `Servers::cpu_work` for CPUs.
 //!
-//! | module        | state       | routed events                          |
+//! | module        | state       | handled events                         |
 //! |---------------|-------------|----------------------------------------|
 //! | [`ranks`]     | `Ranks`     | `RankStep`                             |
 //! | [`io_path`]   | `IoPath`    | `Arrive`, `NetTick`, `Deliver`         |
 //! | [`server`]    | `Servers`   | `DiskTick`, `CpuTick`                  |
 //! | [`control`]   | `Control`   | `Probe`, `ProbeRetry`, `PolicyArrive`  |
-//! | [`faults`]    | `Faults`    | `Fault`                                |
-//! | [`telemetry`] | `Telemetry` | — (passive; written to mid-dispatch)   |
+//! | [`faults`]    | —           | `Fault`                                |
+//! | [`telemetry`] | `Telemetry` | `Sample`                               |
 
 pub mod autopsy;
 pub mod metrics;
@@ -62,7 +64,6 @@ use crate::runtime::ActiveIoRuntime;
 use crate::workload::{LayoutSpec, Workload};
 use cluster::{ClusterConfig, ClusterState, NodeId};
 use control::Control;
-use faults::Faults;
 use io_path::IoPath;
 use kernels::calibrate::synthetic_f64_stream;
 use kernels::KernelRegistry;
@@ -72,8 +73,7 @@ use rand_chacha::ChaCha8Rng;
 use ranks::Ranks;
 use server::{KernelSlots, Servers};
 use simkit::{
-    Component, ExecProfile, FaultPlan, RngFactory, Routed, Scheduler, SimSpan, SimTime, Simulation,
-    Timer, World,
+    ExecProfile, FaultPlan, RngFactory, Scheduler, SimSpan, SimTime, Simulation, Timer, World,
 };
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -156,34 +156,8 @@ pub enum Ev {
     Sample,
 }
 
-/// The driver's routing table: which subsystem owns each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Subsystem {
-    Ranks,
-    IoPath,
-    Server,
-    Control,
-    Faults,
-    Telemetry,
-}
-
-impl Routed for Ev {
-    type Route = Subsystem;
-
-    fn route(&self) -> Subsystem {
-        match self {
-            Ev::RankStep(_) => Subsystem::Ranks,
-            Ev::Arrive(_) | Ev::NetTick | Ev::Deliver(_) => Subsystem::IoPath,
-            Ev::DiskTick(_) | Ev::CpuTick(_) => Subsystem::Server,
-            Ev::Probe(_) | Ev::ProbeRetry(_) | Ev::PolicyArrive(_) => Subsystem::Control,
-            Ev::Fault => Subsystem::Faults,
-            Ev::Sample => Subsystem::Telemetry,
-        }
-    }
-}
-
 /// The simulation world: shared resources plus one state struct per
-/// subsystem (see the module-level architecture table).
+/// handler module (see the module-level architecture table).
 pub struct Driver {
     cfg: DriverConfig,
     dosas: Option<DosasConfig>,
@@ -194,7 +168,6 @@ pub struct Driver {
     io: IoPath,
     server: Servers,
     control: Control,
-    faults: Faults,
     telemetry: Telemetry,
 }
 
@@ -278,7 +251,8 @@ impl Driver {
                 .collect(),
             None => BTreeMap::new(),
         };
-        let fifo_kernels = dosas.as_ref().is_some_and(|d| d.kernel_fifo);
+        // Partial offload runs kernels from a FIFO work queue.
+        let fifo_kernels = dosas.as_ref().is_some_and(|d| d.partial_offload);
         let rank_tenants: Vec<Option<usize>> = (0..workload.rank_count())
             .map(|r| workload.tenants.get(r).copied())
             .collect();
@@ -316,8 +290,7 @@ impl Driver {
                 ascs,
                 reqs: BTreeMap::new(),
                 apps: BTreeMap::new(),
-                flow_req: BTreeMap::new(),
-                doomed_flows: std::collections::BTreeSet::new(),
+                flows: BTreeMap::new(),
                 caches,
                 next_req: 0,
                 next_app: 0,
@@ -329,7 +302,7 @@ impl Driver {
             server: Servers {
                 servers,
                 runtimes,
-                disk_req: BTreeMap::new(),
+                disk_work: BTreeMap::new(),
                 cpu_work: BTreeMap::new(),
                 slots: KernelSlots::new(fifo_kernels),
                 disk_timers,
@@ -344,7 +317,6 @@ impl Driver {
                 bw_estimate: BTreeMap::new(),
                 telemetry: crate::policy::PolicyTelemetry::default(),
             },
-            faults: Faults::default(),
             telemetry: Telemetry::new(&cfg.obs, cfg.autopsy.then(|| workload.rank_count())),
             cfg,
         }
@@ -423,15 +395,16 @@ impl Driver {
         }
     }
 
-    /// Profiling label: the subsystem an event routes to.
+    /// Profiling label: the handler module an event belongs to. The
+    /// `benchmark/` package reads these six names as per-layer metrics.
     fn profile_label(ev: &Ev) -> &'static str {
-        match ev.route() {
-            Subsystem::Ranks => "ranks",
-            Subsystem::IoPath => "io_path",
-            Subsystem::Server => "server",
-            Subsystem::Control => "control",
-            Subsystem::Faults => "faults",
-            Subsystem::Telemetry => "telemetry",
+        match ev {
+            Ev::RankStep(_) => "ranks",
+            Ev::Arrive(_) | Ev::NetTick | Ev::Deliver(_) => "io_path",
+            Ev::DiskTick(_) | Ev::CpuTick(_) => "server",
+            Ev::Probe(_) | Ev::ProbeRetry(_) | Ev::PolicyArrive(_) => "control",
+            Ev::Fault => "faults",
+            Ev::Sample => "telemetry",
         }
     }
 }
@@ -478,15 +451,18 @@ impl World for Driver {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event.route() {
-            Subsystem::Ranks => ranks::RanksComponent::dispatch(self, now, event, sched),
-            Subsystem::IoPath => io_path::IoPathComponent::dispatch(self, now, event, sched),
-            Subsystem::Server => server::ServerComponent::dispatch(self, now, event, sched),
-            Subsystem::Control => control::ControlComponent::dispatch(self, now, event, sched),
-            Subsystem::Faults => faults::FaultsComponent::dispatch(self, now, event, sched),
-            Subsystem::Telemetry => {
-                telemetry::TelemetryComponent::dispatch(self, now, event, sched)
-            }
+        match event {
+            Ev::RankStep(rank) => self.rank_step(rank, now, sched),
+            Ev::Arrive(id) => self.on_arrive(id, now, sched),
+            Ev::NetTick => self.on_net_tick(now, sched),
+            Ev::Deliver(id) => self.on_deliver(id, now, sched),
+            Ev::DiskTick(ordinal) => self.on_disk_tick(ordinal, now, sched),
+            Ev::CpuTick(node) => self.on_cpu_tick(node, now, sched),
+            Ev::Probe(server) => self.on_probe(server, now, sched),
+            Ev::ProbeRetry(server) => self.on_probe_retry(server, now, sched),
+            Ev::PolicyArrive(token) => self.on_policy_arrive(token, now, sched),
+            Ev::Fault => self.apply_faults(now, sched),
+            Ev::Sample => self.on_sample(now, sched),
         }
     }
 }

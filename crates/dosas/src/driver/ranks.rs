@@ -2,20 +2,18 @@
 //!
 //! Owns the per-rank interpreter state (program counter, barrier flags,
 //! finish times) and the one-at-a-time collective execution (Bcast/Reduce/
-//! Allreduce/Gather over binomial-tree plans). Routed events:
+//! Allreduce/Gather over binomial-tree plans). Handled events:
 //! [`Ev::RankStep`](super::Ev::RankStep). I/O ops delegate to the
 //! [`io_path`](super::io_path) subsystem; `Op::Compute` charges the rank's
 //! node CPU via the [`server`](super::server) subsystem's work map.
 
 use super::autopsy::{RankSeg, WaitCause};
-use super::io_path::{FileSpan, IssueKind};
+use super::io_path::{FileSpan, FlowWork, IssueKind};
 use super::server::CpuWork;
-use super::{Driver, Ev, Subsystem};
-use cluster::{FlowId, NodeId};
+use super::{Driver, Ev};
+use cluster::NodeId;
 use mpiio::program::{Op, RankProgram};
-use simkit::component::Component;
 use simkit::{Scheduler, SimTime};
-use std::collections::BTreeSet;
 
 /// One rank's interpreter state.
 pub(super) struct RankState {
@@ -107,8 +105,6 @@ pub(super) struct Ranks {
     /// barrier).
     pub(super) collective: Option<CollectiveRun>,
     pub(super) collective_waiting: usize,
-    /// Flows belonging to the running collective.
-    pub(super) flow_coll: BTreeSet<FlowId>,
 }
 
 impl Ranks {
@@ -140,7 +136,6 @@ impl Ranks {
             finished: 0,
             collective: None,
             collective_waiting: 0,
-            flow_coll: BTreeSet::new(),
         }
     }
 
@@ -151,21 +146,6 @@ impl Ranks {
     /// The rank → node placement for collective planning.
     pub(super) fn placement(&self) -> Vec<NodeId> {
         self.states.iter().map(|r| r.node).collect()
-    }
-}
-
-/// Routed-event entry point for the subsystem.
-pub(super) struct RanksComponent;
-
-impl Component<Driver> for RanksComponent {
-    const ROUTE: Subsystem = Subsystem::Ranks;
-    const NAME: &'static str = "ranks";
-
-    fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::RankStep(rank) => world.rank_step(rank, now, sched),
-            _ => unreachable!("non-rank event routed to ranks"),
-        }
     }
 }
 
@@ -357,7 +337,7 @@ impl Driver {
             let mut started = 0;
             for (src, dst) in msgs {
                 let flow = self.cluster.fabric.start_flow(now, src, dst, bytes);
-                self.ranks.flow_coll.insert(flow);
+                self.io.flows.insert(flow, FlowWork::Collective);
                 started += 1;
             }
             let run = self.ranks.collective.as_mut().expect("collective running");

@@ -1,28 +1,38 @@
 //! `server` subsystem: storage-node service — disks, kernels, CPU ticks.
 //!
 //! Owns the per-node [`DataServer`] queues, the [`ActiveIoRuntime`] state
-//! machines, the disk- and CPU-completion indexes, and the FIFO kernel slot
+//! machines, the disk and CPU owner tables, and the FIFO kernel slot
 //! accounting ([`KernelSlots`]). Drives a request from disk completion into
 //! either a storage-side kernel (active service) or a data flow back to the
-//! client (normal/migrated service). Routed events:
+//! client (normal/migrated service). Handled events:
 //! [`Ev::DiskTick`](super::Ev::DiskTick), [`Ev::CpuTick`](super::Ev::CpuTick).
 //!
-//! CPU completions are demultiplexed through [`CpuWork`]: storage kernels
+//! Disk completions are demultiplexed through [`DiskWork`]: request reads
+//! and writes continue here, injected fault stalls are dropped. CPU
+//! completions are demultiplexed through [`CpuWork`]: storage kernels
 //! finish here, client-side completion compute hands back to
 //! [`io_path`](super::io_path), rank compute hands back to
 //! [`ranks`](super::ranks).
 
 use super::autopsy::{RankSeg, ReqStage, WaitCause};
 use super::io_path::AppIoId;
-use super::{Driver, Ev, Subsystem};
+use super::{Driver, Ev};
 use crate::runtime::{ActiveIoRuntime, ServiceMode};
 use cluster::NodeId;
 use kernels::calibrate::synthetic_f64_stream;
 use pfs::{DataServer, RequestId};
-use simkit::component::Component;
 use simkit::fifo::ReqId as DiskReqId;
 use simkit::{Scheduler, SimTime, TaskId, Timer};
 use std::collections::{BTreeMap, VecDeque};
+
+/// What a completed disk request was doing.
+#[derive(Debug)]
+pub(super) enum DiskWork {
+    /// A request's read, or a write whose payload has arrived.
+    Request(RequestId),
+    /// A fault plan's disk stall: a blocking zero-byte request.
+    Stall,
+}
 
 /// What a completed CPU task was doing.
 #[derive(Debug)]
@@ -35,7 +45,8 @@ pub(super) enum CpuWork {
     RankCompute(usize),
 }
 
-/// FIFO kernel admission per storage node (`DosasConfig::kernel_fifo`).
+/// FIFO kernel admission per storage node (on under
+/// `DosasConfig::partial_offload`).
 ///
 /// With FIFO off every kernel starts immediately and shares the CPU; with
 /// FIFO on at most `cores` kernels run per node and the rest wait in
@@ -100,29 +111,15 @@ impl KernelSlots {
 pub(super) struct Servers {
     pub(super) servers: BTreeMap<NodeId, DataServer>,
     pub(super) runtimes: BTreeMap<NodeId, ActiveIoRuntime>,
-    pub(super) disk_req: BTreeMap<(usize, DiskReqId), RequestId>,
+    /// Owner of every queued disk request, by (storage ordinal, disk id).
+    pub(super) disk_work: BTreeMap<(usize, DiskReqId), DiskWork>,
+    /// Owner of every running CPU task, by (node, task).
     pub(super) cpu_work: BTreeMap<(usize, TaskId), CpuWork>,
     pub(super) slots: KernelSlots,
     /// Completion timers: one per disk (by storage ordinal), one per CPU
     /// (by node).
     pub(super) disk_timers: Vec<Timer>,
     pub(super) cpu_timers: Vec<Timer>,
-}
-
-/// Routed-event entry point for the subsystem.
-pub(super) struct ServerComponent;
-
-impl Component<Driver> for ServerComponent {
-    const ROUTE: Subsystem = Subsystem::Server;
-    const NAME: &'static str = "server";
-
-    fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::DiskTick(ordinal) => world.on_disk_tick(ordinal, now, sched),
-            Ev::CpuTick(node) => world.on_cpu_tick(node, now, sched),
-            _ => unreachable!("non-service event routed to server"),
-        }
-    }
 }
 
 impl Driver {
@@ -155,7 +152,9 @@ impl Driver {
         self.obs_inc("server", "disk_reads_submitted", obs::Label::Node(server.0));
         let disk_bytes = self.cache_filter_read(server, id, bytes);
         let disk_id = self.cluster.disks[ordinal].submit_read(now, disk_bytes);
-        self.server.disk_req.insert((ordinal, disk_id), id);
+        self.server
+            .disk_work
+            .insert((ordinal, disk_id), DiskWork::Request(id));
         // Autopsy: the solo service time for the bytes that actually hit
         // the platter is this hop's ideal; queueing beyond it is wait.
         let ideal = self.cluster.disks[ordinal]
@@ -167,7 +166,7 @@ impl Driver {
         self.schedule_disk(ordinal, sched);
     }
 
-    fn on_disk_tick(&mut self, ordinal: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_disk_tick(&mut self, ordinal: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let armed = self.server.disk_timers[ordinal].fired();
         debug_assert_eq!(
             armed,
@@ -175,15 +174,15 @@ impl Driver {
             "disk {ordinal} changed without re-arming its tick"
         );
         for c in self.cluster.disks[ordinal].take_completed(now) {
-            if self.faults.stall_reqs.remove(&(ordinal, c.id)) {
-                continue; // injected stall draining, not a real request
-            }
-            let id = self
+            let work = self
                 .server
-                .disk_req
+                .disk_work
                 .remove(&(ordinal, c.id))
-                .expect("disk completion maps to a request");
-            self.on_disk_done(id, now, sched);
+                .expect("disk completion maps to work");
+            match work {
+                DiskWork::Request(id) => self.on_disk_done(id, now, sched),
+                DiskWork::Stall => {} // injected stall draining
+            }
         }
         self.schedule_disk(ordinal, sched);
     }
@@ -351,7 +350,7 @@ impl Driver {
         }
     }
 
-    fn on_cpu_tick(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_cpu_tick(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let armed = self.server.cpu_timers[node].fired();
         debug_assert_eq!(
             armed,

@@ -5,21 +5,21 @@
 //! timeline, and the [`obs::Observer`] behind `DriverConfig::obs`. Also
 //! assembles the final [`RunMetrics`] from the drained world.
 //!
-//! Unlike the other subsystems the telemetry component handles exactly one
-//! routed event, the periodic [`Ev::Sample`] tick. It is dispatched in the
-//! run's one total event order, so it reads a consistent world state and
-//! the timeline is byte-identical across replays of a run. The handler only *reads* simulated state (queues, slots, supervisors,
+//! Handled events: the periodic [`Ev::Sample`] tick only. It is dispatched
+//! in the run's one total event order, so it reads a consistent world
+//! state and the timeline is byte-identical across replays of a run. The
+//! handler only *reads* simulated state (queues, slots, supervisors,
 //! runtimes, fabric) and only *writes* observer state, which no simulated
 //! path reads back, so enabling observability never changes scheme results.
 
 use super::autopsy::{AutopsyReport, RankChain, RequestAutopsy, WaitCause};
 use super::metrics::{AppIoRecord, PolicyLogEntry, RunMetrics, TenantReport};
 use super::trace::TraceEvent;
-use super::{Driver, Ev, Subsystem};
+use super::{Driver, Ev};
 use crate::estimator::CeStats;
 use crate::runtime::RuntimeCounters;
 use obs::{Label, ObsConfig, Observer, ServerSample, Severity};
-use simkit::{Component, Scheduler, SimTime};
+use simkit::{Scheduler, SimTime};
 
 /// Telemetry state embedded in [`Driver`].
 #[derive(Default)]
@@ -46,21 +46,6 @@ impl Telemetry {
                 .map(|n| vec![RankChain::start(SimTime::ZERO); n])
                 .unwrap_or_default(),
             ..Telemetry::default()
-        }
-    }
-}
-
-/// The telemetry component: periodic observability sampling.
-pub(super) struct TelemetryComponent;
-
-impl Component<Driver> for TelemetryComponent {
-    const ROUTE: Subsystem = Subsystem::Telemetry;
-    const NAME: &'static str = "telemetry";
-
-    fn handle(world: &mut Driver, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::Sample => world.on_sample(now, sched),
-            other => unreachable!("telemetry got unrouted event {other:?}"),
         }
     }
 }
@@ -162,7 +147,7 @@ impl Driver {
 
     /// Handle the periodic `Sample` tick: capture one timeline row and
     /// re-arm while ranks are still running.
-    fn on_sample(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+    pub(super) fn on_sample(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         self.take_sample(now);
         if let Some(o) = self.telemetry.obs.as_ref() {
             if !self.all_ranks_done() {
@@ -292,7 +277,6 @@ impl Driver {
         } else {
             0.0
         };
-        let min_bw_samples = w.dosas.as_ref().map_or(3, |d| d.probe.min_bw_samples);
 
         // Per-tenant aggregates, fairness, and SLO verdicts (tenanted
         // workloads only — `compute` returns None otherwise).
@@ -301,7 +285,7 @@ impl Driver {
         // Policy activity surface, for non-default policies only: the
         // default CE serializes without it so pre-refactor goldens hold.
         let policy = w.dosas.as_ref().and_then(|d| {
-            (!matches!(d.policy, crate::policy::PolicyConfig::Ce { .. })).then(|| {
+            (!matches!(d.policy, crate::policy::PolicyConfig::Ce)).then(|| {
                 super::metrics::PolicyStats {
                     name: d.policy.name().to_string(),
                     rate_caps_applied: w.io.rate_caps_applied,
@@ -472,7 +456,7 @@ impl Driver {
                 .control
                 .bw_estimate
                 .iter()
-                .filter(|(_, (_, n))| *n >= min_bw_samples)
+                .filter(|(_, (_, n))| *n >= crate::config::MIN_BW_SAMPLES)
                 .map(|(node, (bw, _))| (node.0, *bw))
                 .collect(),
             tenants,

@@ -859,3 +859,55 @@ fn fault_boundaries_touch_only_the_nodes_that_change() {
     );
     assert_eq!(m.records.len(), w.rank_count());
 }
+
+/// The profile labels are a contract with the `benchmark/` package, whose
+/// per-layer metrics key on exactly these six names and read a missing one
+/// as zero: every event variant maps onto one of them, and each is hit.
+#[test]
+fn profile_labels_map_every_event_onto_the_six_layers() {
+    let cases = [
+        (Ev::RankStep(0), "ranks"),
+        (Ev::Arrive(RequestId(0)), "io_path"),
+        (Ev::NetTick, "io_path"),
+        (Ev::Deliver(RequestId(0)), "io_path"),
+        (Ev::DiskTick(0), "server"),
+        (Ev::CpuTick(0), "server"),
+        (Ev::Probe(NodeId(0)), "control"),
+        (Ev::ProbeRetry(NodeId(0)), "control"),
+        (Ev::PolicyArrive(0), "control"),
+        (Ev::Fault, "faults"),
+        (Ev::Sample, "telemetry"),
+    ];
+    // A new variant fails to compile here until it gets an ordinal, and
+    // then fails the coverage check until it gets a case above.
+    let covered: std::collections::BTreeSet<usize> = cases
+        .iter()
+        .map(|(ev, _)| match ev {
+            Ev::RankStep(_) => 0,
+            Ev::Arrive(_) => 1,
+            Ev::NetTick => 2,
+            Ev::Deliver(_) => 3,
+            Ev::DiskTick(_) => 4,
+            Ev::CpuTick(_) => 5,
+            Ev::Probe(_) => 6,
+            Ev::ProbeRetry(_) => 7,
+            Ev::PolicyArrive(_) => 8,
+            Ev::Fault => 9,
+            Ev::Sample => 10,
+        })
+        .collect();
+    assert_eq!(covered, (0..cases.len()).collect(), "one case per variant");
+    for (ev, label) in &cases {
+        assert_eq!(Driver::profile_label(ev), *label, "label of {ev:?}");
+    }
+    let labels: std::collections::BTreeSet<&str> = cases.iter().map(|(_, l)| *l).collect();
+    let layers = [
+        "ranks",
+        "io_path",
+        "server",
+        "control",
+        "faults",
+        "telemetry",
+    ];
+    assert_eq!(labels, layers.into_iter().collect());
+}

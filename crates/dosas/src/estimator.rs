@@ -87,7 +87,6 @@ pub struct SystemProbe {
 /// The Contention Estimator.
 #[derive(Debug, Clone)]
 pub struct ContentionEstimator {
-    solver: SolverKind,
     rates: OpRates,
     /// Kernel-usable cores on the storage node.
     kernel_cores: f64,
@@ -101,7 +100,6 @@ pub struct ContentionEstimator {
 
 impl ContentionEstimator {
     pub fn new(
-        solver: SolverKind,
         rates: OpRates,
         kernel_cores: f64,
         client_cores: f64,
@@ -111,7 +109,6 @@ impl ContentionEstimator {
         assert!(kernel_cores > 0.0 && client_cores > 0.0);
         assert!(nominal_bw > 0.0 && memory_capacity > 0.0);
         ContentionEstimator {
-            solver,
             rates,
             kernel_cores,
             client_cores,
@@ -156,7 +153,7 @@ impl ContentionEstimator {
             .collect();
         let model = self.cost_model(probe);
         let items = model.items(&specs);
-        let mut assignment = schedule::solve(self.solver, &items);
+        let mut assignment = schedule::solve(SolverKind::Threshold, &items);
 
         // Memory guard: active kernels pin roughly their request buffers;
         // demote the largest admitted requests until the working set fits.
@@ -430,14 +427,7 @@ mod tests {
     const MIB: f64 = 1024.0 * 1024.0;
 
     fn estimator() -> ContentionEstimator {
-        ContentionEstimator::new(
-            SolverKind::Threshold,
-            OpRates::paper(),
-            1.0,
-            1.0,
-            118.0 * MIB,
-            16.0 * 1024.0 * MIB,
-        )
+        ContentionEstimator::new(OpRates::paper(), 1.0, 1.0, 118.0 * MIB, 16.0 * 1024.0 * MIB)
     }
 
     fn probe_with(reqs: &[(u64, &str, f64)]) -> SystemProbe {
@@ -532,7 +522,6 @@ mod tests {
     #[test]
     fn memory_pressure_demotes_largest_requests() {
         let ce = ContentionEstimator::new(
-            SolverKind::Threshold,
             OpRates::paper(),
             1.0,
             1.0,
@@ -624,7 +613,6 @@ mod tests {
             max_retries: 2,
             retry_backoff: SimSpan::from_millis(10),
             staleness_bound: SimSpan::from_millis(300),
-            min_bw_samples: 3,
         }
     }
 

@@ -1,14 +1,13 @@
 //! The paper's Contention Estimator as a [`ContentionPolicy`].
 //!
 //! The reference implementation: wraps [`ContentionEstimator`] (Eq. 8
-//! solved by the configured [`SolverKind`]) behind the trait without
+//! solved by the exact threshold solver) behind the trait without
 //! changing a single decision — the pre-refactor golden `RunMetrics`
 //! matrix stays byte-identical under this policy (`tests/golden_metrics.rs`,
 //! `tests/tenant_scenarios.rs`). Emits no rate caps.
 
 use super::{ContentionPolicy, PolicyContext, PolicyInput, PolicyOutput};
 use crate::estimator::{ContentionEstimator, SystemProbe};
-use crate::schedule::SolverKind;
 
 /// Offload/demotion decisions from the paper's CE cost model.
 #[derive(Debug)]
@@ -20,10 +19,9 @@ pub struct CePolicy {
 }
 
 impl CePolicy {
-    pub fn new(solver: SolverKind, ctx: &PolicyContext<'_>) -> Self {
+    pub fn new(ctx: &PolicyContext<'_>) -> Self {
         CePolicy {
             estimator: ContentionEstimator::new(
-                solver,
                 ctx.rates.clone(),
                 ctx.kernel_cores,
                 ctx.client_cores,
@@ -117,28 +115,21 @@ mod tests {
             telemetry: &telemetry,
         };
 
-        let mut policy = CePolicy::new(SolverKind::Threshold, &ctx);
+        let mut policy = CePolicy::new(&ctx);
         let out = policy.decide(&input);
         assert!(out.rate_caps.is_empty(), "the CE never rate-caps");
         assert_eq!(out.generated_at, input.now);
 
-        let direct = ContentionEstimator::new(
-            SolverKind::Threshold,
-            rates.clone(),
-            2.0,
-            1.0,
-            118.0 * MIB,
-            1024.0 * MIB,
-        )
-        .generate_policy(
-            input.now,
-            &SystemProbe {
-                queue: queue.clone(),
-                background_cpu: 0.0,
-                background_memory: 0.0,
-                bandwidth_estimate: None,
-            },
-        );
+        let direct = ContentionEstimator::new(rates.clone(), 2.0, 1.0, 118.0 * MIB, 1024.0 * MIB)
+            .generate_policy(
+                input.now,
+                &SystemProbe {
+                    queue: queue.clone(),
+                    background_cpu: 0.0,
+                    background_memory: 0.0,
+                    bandwidth_estimate: None,
+                },
+            );
         let got = out.offload.expect("CE always emits a policy");
         assert_eq!(got, direct, "trait wrapper must not change decisions");
         assert!(got

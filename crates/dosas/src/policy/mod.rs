@@ -42,7 +42,6 @@ pub use token_bucket::{TokenBucketConfig, TokenBucketPolicy};
 
 use crate::config::{OpRates, TenantSlo};
 use crate::estimator::Policy;
-use crate::schedule::SolverKind;
 use cluster::NodeId;
 use pfs::QueueSnapshot;
 use serde::{Deserialize, Serialize};
@@ -208,10 +207,12 @@ pub struct PolicyContext<'a> {
 
 /// Serde-configurable policy selection, embedded in
 /// [`DosasConfig::policy`](crate::config::DosasConfig::policy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum PolicyConfig {
-    /// The paper's Contention Estimator solving Eq. 8 with `solver`.
-    Ce { solver: SolverKind },
+    /// The paper's Contention Estimator solving Eq. 8 with the exact
+    /// O(k log k) threshold solver; the default.
+    #[default]
+    Ce,
     /// Straggler-aware re-striping: demote every active request queued on
     /// a server whose latency EWMA lags the fleet.
     Restripe(RestripeConfig),
@@ -222,25 +223,12 @@ pub enum PolicyConfig {
     Pi(PiConfig),
 }
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig::Ce {
-            solver: SolverKind::Threshold,
-        }
-    }
-}
-
 impl PolicyConfig {
-    /// The CE with a non-default solver.
-    pub fn ce(solver: SolverKind) -> Self {
-        PolicyConfig::Ce { solver }
-    }
-
     /// Stable name, matching the built policy's
     /// [`ContentionPolicy::name`].
     pub fn name(&self) -> &'static str {
         match self {
-            PolicyConfig::Ce { .. } => "ce",
+            PolicyConfig::Ce => "ce",
             PolicyConfig::Restripe(_) => "restripe",
             PolicyConfig::TokenBucket(_) => "token-bucket",
             PolicyConfig::Pi(_) => "pi",
@@ -266,7 +254,7 @@ impl PolicyConfig {
     /// Instantiate the policy for a concrete world.
     pub fn build(&self, ctx: &PolicyContext<'_>) -> Box<dyn ContentionPolicy> {
         match self {
-            PolicyConfig::Ce { solver } => Box::new(CePolicy::new(*solver, ctx)),
+            PolicyConfig::Ce => Box::new(CePolicy::new(ctx)),
             PolicyConfig::Restripe(c) => Box::new(RestripePolicy::new(c.clone())),
             PolicyConfig::TokenBucket(c) => Box::new(TokenBucketPolicy::new(c.clone(), ctx)),
             PolicyConfig::Pi(c) => Box::new(PiGovernor::new(c.clone(), ctx)),

@@ -107,15 +107,6 @@ impl Kernel for HistogramKernel {
     }
 }
 
-impl crate::parallel::Merge for HistogramKernel {
-    fn merge(&mut self, other: Self) {
-        for (a, b) in self.bins.iter_mut().zip(other.bins) {
-            *a += b;
-        }
-        self.bytes += other.bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -173,26 +173,6 @@ impl Kernel for KMeansKernel {
     }
 }
 
-impl crate::parallel::Merge for KMeansKernel {
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.centroids, other.centroids,
-            "can only merge kmeans passes over the same centroids"
-        );
-        debug_assert!(
-            self.buf.carry().is_empty() && other.buf.carry().is_empty(),
-            "merge requires item-aligned inputs"
-        );
-        for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            *a += b;
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        self.bytes += other.bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

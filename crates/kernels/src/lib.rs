@@ -30,10 +30,7 @@
 //! | [`smooth`] | f64 stream | 2 add + 1 div | smoothed-stream digest |
 //!
 //! All kernels are *really executed* (this crate is the data plane);
-//! [`calibrate`] measures their per-core MB/s for Table III, and
-//! [`parallel`] splits mergeable kernels into chunks and merges the partial
-//! states through rayon's API. The vendored rayon stand-in runs the chunks
-//! sequentially on one core, so the split buys no speed-up today.
+//! [`calibrate`] measures their per-core MB/s for Table III.
 
 mod itemstream;
 
@@ -43,7 +40,6 @@ pub mod grep;
 pub mod histogram;
 pub mod kernel;
 pub mod kmeans;
-pub mod parallel;
 pub mod registry;
 pub mod smooth;
 pub mod stats;

@@ -174,32 +174,6 @@ impl Kernel for StatsKernel {
     }
 }
 
-impl crate::parallel::Merge for StatsKernel {
-    fn merge(&mut self, other: Self) {
-        debug_assert!(
-            self.buf.carry().is_empty() && other.buf.carry().is_empty(),
-            "merge requires item-aligned inputs"
-        );
-        // Chan et al.'s parallel Welford combination.
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let n = na + nb;
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other;
-            return;
-        }
-        let delta = other.mean - self.mean;
-        self.mean += delta * nb / n;
-        self.m2 += other.m2 + delta * delta * na * nb / n;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.bytes += other.bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

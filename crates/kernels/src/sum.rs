@@ -109,18 +109,6 @@ impl Kernel for SumKernel {
     }
 }
 
-impl crate::parallel::Merge for SumKernel {
-    fn merge(&mut self, other: Self) {
-        debug_assert!(
-            self.buf.carry().is_empty() && other.buf.carry().is_empty(),
-            "merge requires item-aligned inputs"
-        );
-        self.sum += other.sum;
-        self.count += other.count;
-        self.bytes += other.bytes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,8 @@
 //! This crate mirrors that interface in Rust form:
 //!
 //! * [`datatype`] — MPI datatypes (element sizes).
-//! * [`status`] — `MPI_Status` equivalent.
+//! * [`status`] — [`status::ExecutionSite`]: where an active I/O's kernel
+//!   ran (storage, compute, migrated between them, or nowhere).
 //! * [`file`](mod@file) — [`file::ResultBuf`], the `struct result` twin,
 //!   whose `completed` bit tells the Active Storage Client whether it must
 //!   finish the operation locally.
@@ -37,4 +38,3 @@ pub use comm::Communicator;
 pub use datatype::Datatype;
 pub use file::{ResultBuf, ResultPayload};
 pub use program::{Op, RankProgram};
-pub use status::MpiStatus;

@@ -1,19 +1,6 @@
-//! `MPI_Status` equivalent.
+//! Where an I/O's computation ran, as reported back to the application.
 
 use serde::{Deserialize, Serialize};
-use simkit::SimSpan;
-
-/// Outcome of one I/O call, as returned to the application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MpiStatus {
-    /// Bytes of application-visible payload transferred (`MPI_Get_count`).
-    pub count_bytes: u64,
-    /// Wall-clock (simulated) time the call took.
-    pub elapsed: SimSpan,
-    /// Whether the operation was executed on the storage side (active),
-    /// on the compute side (demoted / traditional), or split across both.
-    pub executed: ExecutionSite,
-}
 
 /// Where the computation of an active I/O actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,33 +14,4 @@ pub enum ExecutionSite {
     Migrated,
     /// No kernel involved (plain read).
     None,
-}
-
-impl MpiStatus {
-    pub fn new(count_bytes: u64, elapsed: SimSpan, executed: ExecutionSite) -> Self {
-        MpiStatus {
-            count_bytes,
-            elapsed,
-            executed,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn construction() {
-        let s = MpiStatus::new(128, SimSpan::from_millis(5), ExecutionSite::Storage);
-        assert_eq!(s.count_bytes, 128);
-        assert_eq!(s.executed, ExecutionSite::Storage);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = MpiStatus::new(1, SimSpan::from_secs(1), ExecutionSite::Migrated);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(serde_json::from_str::<MpiStatus>(&json).unwrap(), s);
-    }
 }

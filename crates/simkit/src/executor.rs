@@ -34,8 +34,8 @@ pub struct DispatchStat {
 /// Strictly observational: the profile is collected entirely outside the
 /// event stream (wall clock only, never fed back into the simulation), so
 /// enabling it cannot perturb simulated behaviour. Labels come from a
-/// caller-supplied `fn(&Event) -> &'static str`, typically the subsystem an
-/// event routes to.
+/// caller-supplied `fn(&Event) -> &'static str`, typically the part of the
+/// world that handles the event.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ExecProfile {
     /// Per-label dispatch counts and wall time.

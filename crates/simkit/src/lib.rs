@@ -8,14 +8,12 @@
 //! * [`time`] — integer-nanosecond simulation clock ([`SimTime`], [`SimSpan`]).
 //! * [`event`] — a stable-order event queue (FIFO among equal timestamps).
 //! * [`executor`] — the [`executor::World`] trait and run loop.
-//! * [`component`] — [`component::Component`]/[`component::Routed`]: split a
-//!   world into event-routed subsystems without changing its event schedule.
 //! * [`share`] — a generalized processor-sharing resource with max-min fair
 //!   allocation; models multi-core CPUs and fair-share network links.
 //! * [`fifo`] — a multi-server FIFO queueing resource; models disks and
 //!   request queues with explicit service times.
 //! * [`timer`] — [`Timer`], the one armed completion tick per resource.
-//! * [`stats`] — time-weighted statistics, tallies and series recorders.
+//! * [`stats`] — time-weighted averages and bounded-memory quantiles.
 //! * [`rng`] — seed-derived deterministic random streams.
 //! * [`fault`] — deterministic, seed-driven fault plans (time-windowed
 //!   resource degradation, probe loss/delay) applied by the owning world.
@@ -36,7 +34,6 @@
 //!   ever dispatched. Cancellation is crate-private: the timer is its only
 //!   user.
 
-pub mod component;
 pub mod event;
 pub mod executor;
 pub mod fault;
@@ -48,7 +45,6 @@ pub mod stats;
 pub mod time;
 pub mod timer;
 
-pub use component::{Component, Routed};
 pub use event::EventQueue;
 pub use executor::{DispatchStat, ExecProfile, Scheduler, Simulation, World};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

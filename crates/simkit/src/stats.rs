@@ -1,65 +1,7 @@
-//! Simulation statistics: tallies, time-weighted averages, series.
+//! Simulation statistics: time-weighted averages and quantiles.
 
 use crate::time::SimTime;
 use serde::Serialize;
-
-/// Streaming min/max/mean/variance over observations (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct Tally {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl Tally {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-}
 
 /// Time-weighted average of a piecewise-constant signal (queue lengths,
 /// utilization, …).
@@ -205,63 +147,9 @@ impl Quantiles {
     }
 }
 
-/// A recorded `(time, value)` series, e.g. for queue-depth traces.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct Series {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl Series {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tally_basic_moments() {
-        let mut t = Tally::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            t.record(x);
-        }
-        assert_eq!(t.count(), 8);
-        assert!((t.mean() - 5.0).abs() < 1e-12);
-        assert!((t.variance() - 4.0).abs() < 1e-12);
-        assert!((t.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(t.min(), Some(2.0));
-        assert_eq!(t.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_tally_is_nan() {
-        let t = Tally::new();
-        assert!(t.mean().is_nan());
-        assert!(t.variance().is_nan());
-        assert_eq!(t.min(), None);
-    }
 
     #[test]
     fn time_weighted_mean() {
@@ -323,37 +211,5 @@ mod tests {
     fn quantiles_empty_is_none() {
         let q = Quantiles::default();
         assert_eq!(q.median(), None);
-    }
-
-    #[test]
-    fn series_records_points() {
-        let mut s = Series::new();
-        assert!(s.is_empty());
-        s.push(SimTime::ZERO, 1.0);
-        s.push(SimTime::from_nanos(5), 2.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some((SimTime::from_nanos(5), 2.0)));
-        assert_eq!(s.points()[0], (SimTime::ZERO, 1.0));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn tally_matches_naive_computation() {
-        proptest!(|(xs in proptest::collection::vec(-1e3f64..1e3, 1..200))| {
-            let mut t = Tally::new();
-            for &x in &xs {
-                t.record(x);
-            }
-            let n = xs.len() as f64;
-            let mean = xs.iter().sum::<f64>() / n;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            prop_assert!((t.mean() - mean).abs() < 1e-6);
-            prop_assert!((t.variance() - var).abs() < 1e-4);
-        });
     }
 }

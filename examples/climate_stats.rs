@@ -7,14 +7,13 @@
 //! The Contention Estimator must balance them.
 //!
 //! Also demonstrates the data plane: the statistics kernel really reduces a
-//! synthetic temperature field, chunked and merged on the "client" side.
+//! synthetic temperature field, streamed in chunks on the "client" side.
 //!
 //! ```text
 //! cargo run --release --example climate_stats
 //! ```
 
 use dosas_repro::prelude::*;
-use kernels::parallel::par_process;
 use kernels::StatsKernel;
 
 /// A synthetic global temperature field (K), f64 grid points.
@@ -40,10 +39,12 @@ fn main() {
         field.len() >> 20
     );
 
-    // Client-side completion path: chunked map/merge through rayon's API
-    // (what the ASC does with a demoted request; the vendored rayon runs
-    // the chunks on one core).
-    let k = par_process(StatsKernel::new, &field, 1 << 20);
+    // Client-side completion path: the kernel consumes the field chunk by
+    // chunk, as the ASC does with a demoted request's data.
+    let mut k = StatsKernel::new();
+    for chunk in field.chunks(1 << 20) {
+        k.process_chunk(chunk);
+    }
     let (min, max, mean, var, count) = StatsKernel::decode_result(&k.finalize()).unwrap();
     println!(
         "  {count} points: min {min:.1} K, max {max:.1} K, mean {mean:.2} K, stddev {:.2} K",

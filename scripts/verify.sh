@@ -47,6 +47,9 @@ cargo test -q -p simkit --lib slot_indexed_share_matches_reference
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
 cargo test -q -p cluster --lib outputs_keep_flow_id_order_under_slot_reuse
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
+# A CPU fault window that closes mid-kernel must re-arm the CPU's tick: the
+# kernel started under a full stall, so no other event would resume it.
+cargo test -q --test failure_scenarios cpu_stall_closing_mid_kernel_rearms_the_cpu_tick
 # One armed tick per resource (DESIGN.md §5.2): the simkit timer keeps an
 # identical re-arm's earlier seq, cancels a superseded or unneeded tick
 # (even one due now) and never dispatches a cancelled one; on the paper
@@ -86,7 +89,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 # Observability smoke: a small scenario with --obs-out must emit its
 # artifacts, the Prometheus snapshot must parse, every timeline line must
 # round-trip through serde, and profile.json must count dispatched events
-# under every subsystem label (--check-obs).
+# under every subsystem label (--check-obs). The label test pins the six
+# profile labels the benchmark's per-layer metrics key on.
+cargo test -q -p dosas --lib profile_labels_map_every_event_onto_the_six_layers
 OBS_DIR="$(mktemp -d)"
 SOAK_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$SOAK_DIR"' EXIT

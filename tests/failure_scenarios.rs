@@ -403,6 +403,53 @@ fn zero_rate_stall_window_completes_after_recovery() {
     );
 }
 
+/// A full CPU stall that opens before the lone kernel starts and closes
+/// mid-kernel. The kernel is submitted while the storage CPU runs at rate
+/// 0, so nothing is due and no CPU tick is armed; only the fault window's
+/// closing boundary can re-arm the tick. The request must complete exactly
+/// `1.0 − t_k` seconds late, where `t_k` is the kernel's start in the clean
+/// run: the kernel makes no progress until the window closes at 1.0 s.
+#[test]
+fn cpu_stall_closing_mid_kernel_rearms_the_cpu_tick() {
+    let w = gaussians(1);
+    let mut clean_cfg = det(Scheme::ActiveStorage, FaultPlan::new());
+    clean_cfg.trace = true;
+    let clean = run_deterministic(&clean_cfg, &w);
+    let kernel = clean
+        .trace
+        .as_ref()
+        .expect("tracing was enabled")
+        .iter()
+        .find(|e| e.cat == "kernel")
+        .expect("the clean run traces its kernel");
+    let t_k = kernel.ts_us / 1e6;
+    assert!(
+        0.05 < t_k && t_k < 1.0,
+        "the stall must open before the kernel starts ({t_k} s) and close after"
+    );
+    assert!(
+        t_k + kernel.dur_us / 1e6 > 1.0,
+        "the stall must close mid-kernel"
+    );
+
+    let plan = FaultPlan::new().inject(
+        STORAGE_NODE,
+        FaultKind::CpuSlowdown { factor: 0.0 },
+        secs(0.05),
+        span(0.95),
+    );
+    let m = run_deterministic(&det(Scheme::ActiveStorage, plan), &w);
+
+    assert_all_complete(&m, 1);
+    let delay = m.makespan_secs - clean.makespan_secs;
+    assert!(
+        (delay - (1.0 - t_k)).abs() < 1e-6,
+        "the kernel must resume when the stall closes: delayed {delay} s, \
+         expected {} s",
+        1.0 - t_k
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 9: node leave mid-transfer (elastic membership)
 // ---------------------------------------------------------------------------
