@@ -142,11 +142,8 @@ fn main() {
         std::fs::write(format!("{dir}/metrics.prom"), report.to_prometheus())
             .expect("write metrics.prom");
         let trace = m.trace.as_deref().unwrap_or(&[]);
-        std::fs::write(
-            format!("{dir}/trace.json"),
-            dosas::driver::trace::to_chrome_json(trace),
-        )
-        .expect("write trace.json");
+        std::fs::write(format!("{dir}/trace.json"), obs::chrome_trace_json(trace))
+            .expect("write trace.json");
         let profile = profile.as_ref().expect("profiled run under --obs-out");
         std::fs::write(
             format!("{dir}/profile.json"),

@@ -4,27 +4,20 @@
 //! functions, per the paper:
 //!
 //! 1. **Interface** — when the application calls `MPI_File_read_ex`, the
-//!    ASC registers the operation, the I/O size and the file handle locally
-//!    before forwarding the request.
+//!    operation, the I/O size and the file handle are recorded at the
+//!    client before the request is forwarded. In the simulation that record
+//!    is the driver's own request state, so the ASC keeps no table of its
+//!    own.
 //! 2. **Completion assistance** — when the result returns with
 //!    `completed == 0`, the ASC finishes the processing itself (fresh
 //!    kernel for never-started requests, restored kernel for interrupted
 //!    ones), without any application involvement.
+//!
+//! [`handle_result`] is that completion step: a pure function of the
+//! returned [`ResultBuf`] and the request's recorded operation and size.
 
 use kernels::{Kernel, KernelError, KernelParams, KernelRegistry};
 use mpiio::file::{ResultBuf, ResultPayload};
-use pfs::{FileHandle, RequestId};
-use std::collections::BTreeMap;
-
-/// What the ASC recorded at issue time (paper: "register the operation,
-/// I/O size and its fh at local").
-#[derive(Debug, Clone, PartialEq)]
-pub struct Registration {
-    pub op: String,
-    pub params: KernelParams,
-    pub io_bytes: u64,
-    pub fh: FileHandle,
-}
 
 /// What must happen next for a returned request.
 pub enum ClientAction {
@@ -54,80 +47,31 @@ impl std::fmt::Debug for ClientAction {
     }
 }
 
-/// Completion counters for the evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AscCounters {
-    pub issued: u64,
-    pub delivered_direct: u64,
-    pub finished_locally: u64,
-    pub resumed_from_checkpoint: u64,
-}
-
-/// One compute node's Active Storage Client.
-pub struct ActiveStorageClient {
-    registry: KernelRegistry,
-    pending: BTreeMap<RequestId, Registration>,
-    pub counters: AscCounters,
-}
-
-impl ActiveStorageClient {
-    pub fn new(registry: KernelRegistry) -> Self {
-        ActiveStorageClient {
-            registry,
-            pending: BTreeMap::new(),
-            counters: AscCounters::default(),
-        }
-    }
-
-    /// Register an outgoing active I/O request.
-    pub fn register(&mut self, id: RequestId, reg: Registration) {
-        let prev = self.pending.insert(id, reg);
-        assert!(prev.is_none(), "request {id:?} registered twice");
-        self.counters.issued += 1;
-    }
-
-    pub fn registration(&self, id: RequestId) -> Option<&Registration> {
-        self.pending.get(&id)
-    }
-
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Handle the storage side's `struct result` for request `id`.
-    ///
-    /// Checks the `completed` argument: 1 → return the result directly;
-    /// 0 → build (or restore) the kernel and report how many bytes the
-    /// client still has to process.
-    pub fn handle_result(
-        &mut self,
-        id: RequestId,
-        result: &ResultBuf,
-    ) -> Result<ClientAction, KernelError> {
-        let reg = self
-            .pending
-            .remove(&id)
-            .unwrap_or_else(|| panic!("result for unregistered request {id:?}"));
-        match &result.payload {
-            ResultPayload::Completed(bytes) => {
-                self.counters.delivered_direct += 1;
-                Ok(ClientAction::Deliver(bytes.clone()))
-            }
-            ResultPayload::Uncompleted(state) => {
-                let kernel = match state {
-                    Some(state) => {
-                        self.counters.resumed_from_checkpoint += 1;
-                        self.registry.restore(state)?
-                    }
-                    None => self.registry.create(&reg.op, &reg.params)?,
-                };
-                self.counters.finished_locally += 1;
-                let done = result.offset.min(reg.io_bytes);
-                Ok(ClientAction::FinishLocally {
-                    remaining_bytes: reg.io_bytes - done,
-                    kernel,
-                })
-            }
+/// Handle the storage side's `struct result` for an active read of
+/// `io_bytes` bytes that asked for `op` with `params`.
+///
+/// Checks the `completed` argument: 1 → return the result directly;
+/// 0 → build (or restore) the kernel and report how many bytes the client
+/// still has to process.
+pub fn handle_result(
+    registry: &KernelRegistry,
+    op: &str,
+    params: &KernelParams,
+    io_bytes: u64,
+    result: ResultBuf,
+) -> Result<ClientAction, KernelError> {
+    match result.payload {
+        ResultPayload::Completed(bytes) => Ok(ClientAction::Deliver(bytes)),
+        ResultPayload::Uncompleted(state) => {
+            let kernel = match state {
+                Some(state) => registry.restore(&state)?,
+                None => registry.create(op, params)?,
+            };
+            let done = result.offset.min(io_bytes);
+            Ok(ClientAction::FinishLocally {
+                remaining_bytes: io_bytes - done,
+                kernel,
+            })
         }
     }
 }
@@ -136,39 +80,26 @@ impl ActiveStorageClient {
 mod tests {
     use super::*;
     use kernels::sum::SumKernel;
+    use pfs::FileHandle;
 
-    fn client() -> ActiveStorageClient {
-        ActiveStorageClient::new(KernelRegistry::with_defaults())
-    }
-
-    fn reg(bytes: u64) -> Registration {
-        Registration {
-            op: "sum".into(),
-            params: KernelParams::default(),
-            io_bytes: bytes,
-            fh: FileHandle(1),
-        }
+    fn handle(op: &str, io_bytes: u64, result: ResultBuf) -> Result<ClientAction, KernelError> {
+        let registry = KernelRegistry::with_defaults();
+        handle_result(&registry, op, &KernelParams::default(), io_bytes, result)
     }
 
     #[test]
     fn completed_result_is_delivered() {
-        let mut c = client();
-        c.register(RequestId(0), reg(1024));
         let r = ResultBuf::completed(vec![7, 7], FileHandle(1), 1024);
-        match c.handle_result(RequestId(0), &r).unwrap() {
+        match handle("sum", 1024, r).unwrap() {
             ClientAction::Deliver(bytes) => assert_eq!(bytes, vec![7, 7]),
             other => panic!("expected Deliver, got {other:?}"),
         }
-        assert_eq!(c.counters.delivered_direct, 1);
-        assert_eq!(c.pending_count(), 0);
     }
 
     #[test]
     fn fresh_demotion_creates_new_kernel() {
-        let mut c = client();
-        c.register(RequestId(0), reg(800));
         let r = ResultBuf::uncompleted(None, FileHandle(1), 0);
-        match c.handle_result(RequestId(0), &r).unwrap() {
+        match handle("sum", 800, r).unwrap() {
             ClientAction::FinishLocally {
                 remaining_bytes,
                 kernel,
@@ -179,8 +110,6 @@ mod tests {
             }
             other => panic!("expected FinishLocally, got {other:?}"),
         }
-        assert_eq!(c.counters.finished_locally, 1);
-        assert_eq!(c.counters.resumed_from_checkpoint, 0);
     }
 
     #[test]
@@ -194,16 +123,14 @@ mod tests {
         storage_kernel.process_chunk(&data[..cut]);
         let state = storage_kernel.checkpoint();
 
-        let mut c = client();
-        c.register(RequestId(0), reg(data.len() as u64));
         let r = ResultBuf::uncompleted(Some(state), FileHandle(1), cut as u64);
-        let action = c.handle_result(RequestId(0), &r).unwrap();
-        match action {
+        match handle("sum", data.len() as u64, r).unwrap() {
             ClientAction::FinishLocally {
                 remaining_bytes,
                 mut kernel,
             } => {
                 assert_eq!(remaining_bytes as usize, data.len() - cut);
+                assert_eq!(kernel.bytes_processed(), cut as u64, "restored");
                 kernel.process_chunk(&data[cut..]);
                 let mut whole = SumKernel::new();
                 whole.process_chunk(&data);
@@ -211,38 +138,11 @@ mod tests {
             }
             other => panic!("expected FinishLocally, got {other:?}"),
         }
-        assert_eq!(c.counters.resumed_from_checkpoint, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let mut c = client();
-        c.register(RequestId(0), reg(1));
-        c.register(RequestId(0), reg(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered request")]
-    fn unknown_result_panics() {
-        let mut c = client();
-        let r = ResultBuf::completed(vec![], FileHandle(1), 0);
-        let _ = c.handle_result(RequestId(9), &r);
     }
 
     #[test]
     fn unknown_op_surfaces_kernel_error() {
-        let mut c = client();
-        c.register(
-            RequestId(0),
-            Registration {
-                op: "nonsense".into(),
-                params: KernelParams::default(),
-                io_bytes: 8,
-                fh: FileHandle(1),
-            },
-        );
         let r = ResultBuf::uncompleted(None, FileHandle(1), 0);
-        assert!(c.handle_result(RequestId(0), &r).is_err());
+        assert!(handle("nonsense", 8, r).is_err());
     }
 }

@@ -22,13 +22,13 @@ pub(super) use types::{AppIo, AppIoId, FileSpan, IssueKind, Piece, Req};
 use super::autopsy::ReqStage;
 use super::server::{CpuWork, DiskWork};
 use super::{Driver, Ev};
-use crate::asc::ClientAction;
+use crate::asc::{self, ClientAction};
 use crate::runtime::ServiceMode;
 use assembly::{assemble_result, cache_miss_bytes};
 use cluster::{FlowId, NodeId};
 use mpiio::file::ResultBuf;
 use mpiio::status::ExecutionSite;
-use pfs::{BlockCache, IoKind, MemoryStore, MetadataServer, QueuedRequest, RequestId};
+use pfs::{BlockCache, MemoryStore, MetadataServer, RequestId};
 use simkit::{Scheduler, SimTime, Timer};
 use std::collections::BTreeMap;
 
@@ -53,7 +53,6 @@ pub(super) enum FlowWork {
 pub(super) struct IoPath {
     pub(super) meta: MetadataServer,
     pub(super) store: MemoryStore,
-    pub(super) ascs: BTreeMap<NodeId, crate::asc::ActiveStorageClient>,
     pub(super) reqs: BTreeMap<RequestId, Req>,
     pub(super) apps: BTreeMap<AppIoId, AppIo>,
     /// Owner of every fabric flow in flight.
@@ -86,13 +85,9 @@ impl Driver {
     // ----- request pipeline -----
 
     pub(super) fn on_arrive(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let (server, kind, bytes, client, is_write) = {
+        let (server, bytes, client, is_write) = {
             let r = &self.io.reqs[&id];
-            let kind = match &r.op {
-                Some(op) => IoKind::Active { op: op.clone() },
-                None => IoKind::Normal,
-            };
-            (r.server, kind, r.bytes, r.client, r.is_write)
+            (r.server, r.bytes, r.client, r.is_write)
         };
         {
             let r = self.io.reqs.get_mut(&id).expect("req");
@@ -103,31 +98,19 @@ impl Driver {
             }
         }
         self.obs_inc("io_path", "requests_arrived", obs::Label::Node(server.0));
-        self.server
-            .servers
+        let runtime = self
+            .server
+            .runtimes
             .get_mut(&server)
-            .expect("server exists")
-            .arrive(
-                now,
-                QueuedRequest {
-                    id,
-                    kind,
-                    bytes,
-                    client,
-                    arrived: now,
-                },
-            );
+            .expect("server runtime");
         if is_write {
             // Write path: data streams client → server first; the disk
             // write happens when the payload has fully arrived.
+            runtime.on_write_arrival(now);
             self.launch_flow(id, client, server, bytes, now, sched);
             return;
         }
-        self.server
-            .runtimes
-            .get_mut(&server)
-            .expect("server runtime")
-            .on_arrival(id);
+        runtime.on_arrival(now, id);
         self.submit_disk_read(server, id, bytes, now, sched);
 
         let decide = self.dosas.as_ref().is_some_and(|d| d.decide_on_arrival)
@@ -378,11 +361,10 @@ impl Driver {
         if self.io.reqs[&id].is_write {
             // Ack received: the write is durable and the request is done.
             self.server
-                .servers
+                .runtimes
                 .get_mut(&server)
-                .expect("server")
-                .complete(now, id)
-                .expect("request was queued");
+                .expect("server runtime")
+                .on_write_acked(now);
             let mut r = self.io.reqs.remove(&id).expect("req");
             let app = self.io.apps.get_mut(&r.app).expect("app");
             app.parts_pending -= 1;
@@ -398,26 +380,20 @@ impl Driver {
             .runtimes
             .get_mut(&server)
             .expect("server runtime")
-            .on_delivered(id);
-        self.server
-            .servers
-            .get_mut(&server)
-            .expect("server")
-            .complete(now, id)
-            .expect("request was queued");
+            .on_delivered(now, id);
 
         let mut r = self.io.reqs.remove(&id).expect("req");
         let app_id = r.app;
+        // The request record is the ASC's registration: the requested op,
+        // its parameters (per app I/O) and the part's size.
+        let io_bytes = r.bytes as u64;
         match mode {
             ServiceMode::Active => {
                 let result = r.result.take().unwrap_or_default();
-                let rb = ResultBuf::completed(result, r.fh, r.bytes as u64);
-                let action = self
-                    .io
-                    .ascs
-                    .get_mut(&r.client)
-                    .expect("asc")
-                    .handle_result(id, &rb)
+                let rb = ResultBuf::completed(result, r.fh, io_bytes);
+                let op = r.op.as_deref().expect("active request has op");
+                let params = &self.io.apps[&app_id].params;
+                let action = asc::handle_result(&self.registry, op, params, io_bytes, rb)
                     .expect("completed results never fail");
                 let app = self.io.apps.get_mut(&app_id).expect("app");
                 app.any_active_completed = true;
@@ -428,16 +404,12 @@ impl Driver {
                 }
             }
             ServiceMode::Normal | ServiceMode::Migrated => {
-                if r.op.is_some() {
+                if let Some(op) = r.op.as_deref() {
                     // Demoted or migrated active request: the ASC finishes it.
                     let state = r.ship_state.take();
                     let rb = ResultBuf::uncompleted(state, r.fh, r.processed_bytes.floor() as u64);
-                    let action = self
-                        .io
-                        .ascs
-                        .get_mut(&r.client)
-                        .expect("asc")
-                        .handle_result(id, &rb)
+                    let params = &self.io.apps[&app_id].params;
+                    let action = asc::handle_result(&self.registry, op, params, io_bytes, rb)
                         .expect("registered ops restore");
                     let app = self.io.apps.get_mut(&app_id).expect("app");
                     match action {

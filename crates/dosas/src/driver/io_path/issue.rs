@@ -1,7 +1,6 @@
 //! Request issue: one MPI-IO call becomes per-server request parts.
 
 use super::types::{AppIo, AppIoId, FileSpan, IssueKind, Req};
-use crate::asc::Registration;
 use crate::driver::{Driver, Ev};
 use cluster::NodeId;
 use kernels::KernelParams;
@@ -12,8 +11,8 @@ use std::collections::BTreeMap;
 impl Driver {
     /// Create an app I/O and its per-server parts, and launch the request
     /// messages toward their data servers. Reads register with the server
-    /// runtime (and the client's ASC when active); writes are plain
-    /// normal I/O — the paper's active path only reads.
+    /// runtime; writes are plain normal I/O — the paper's active path only
+    /// reads.
     pub(in super::super) fn issue(
         &mut self,
         rank: usize,
@@ -72,7 +71,7 @@ impl Driver {
                 rank,
                 tenant: self.ranks.states[rank].tenant,
                 op: op_name.clone(),
-                params: params.clone(),
+                params,
                 client_op,
                 parts_pending: groups.len(),
                 total_bytes: bytes as f64,
@@ -97,22 +96,7 @@ impl Driver {
                     .runtimes
                     .get_mut(&server)
                     .expect("extent targets a storage node")
-                    .track(id, op_name.is_some());
-                if let Some(op) = &op_name {
-                    self.io
-                        .ascs
-                        .get_mut(&client)
-                        .expect("rank node has an ASC")
-                        .register(
-                            id,
-                            Registration {
-                                op: op.clone(),
-                                params: params.clone(),
-                                io_bytes: total,
-                                fh,
-                            },
-                        );
-                }
+                    .track(id, op_name.clone(), total as f64);
             }
             self.io.reqs.insert(
                 id,

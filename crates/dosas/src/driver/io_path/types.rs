@@ -40,7 +40,8 @@ pub(in super::super) struct Req {
     pub(in super::super) kernel: Option<Box<dyn Kernel>>,
     pub(in super::super) data: Option<Vec<u8>>,
     pub(in super::super) result: Option<Vec<u8>>,
-    // Tracing stamps (only maintained when cfg.trace):
+    // Stage stamps, set on every run: they time the trace spans, and
+    // `t_arrive` also feeds the per-server latency telemetry at delivery.
     pub(in super::super) t_arrive: SimTime,
     pub(in super::super) t_kernel_start: SimTime,
     pub(in super::super) t_flow_start: SimTime,

@@ -220,9 +220,10 @@ pub struct RunMetrics {
     /// Final kernel results per app I/O (data-plane runs only).
     #[serde(skip)]
     pub results: BTreeMap<u64, Vec<u8>>,
-    /// Execution timeline when `DriverConfig::trace` was set.
+    /// Execution timeline when `DriverConfig::trace` was set; serialize
+    /// with [`obs::chrome_trace_json`] for chrome://tracing / Perfetto.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub trace: Option<Vec<crate::driver::trace::TraceEvent>>,
+    pub trace: Option<Vec<obs::TraceSpan>>,
     /// Simulation events dispatched (engine throughput accounting).
     pub events: u64,
     /// Simulation events ever scheduled. `events_scheduled - events -

@@ -1,6 +1,6 @@
 //! End-to-end simulation driver.
 //!
-//! Owns the whole world — cluster hardware, file system, runtimes, clients,
+//! Owns the whole world — cluster hardware, file system, server runtimes,
 //! rank programs — and advances it with `simkit`'s event loop. Every byte of
 //! request data takes the full path the paper describes:
 //!
@@ -37,7 +37,6 @@
 
 pub mod autopsy;
 pub mod metrics;
-pub mod trace;
 
 mod control;
 mod faults;
@@ -54,9 +53,7 @@ pub use metrics::{
     AppIoRecord, PolicyLogEntry, PolicyStats, RunMetrics, TenantReport, TenantSloOutcome,
     TenantStats,
 };
-pub use trace::TraceEvent;
 
-use crate::asc::ActiveStorageClient;
 use crate::config::{DosasConfig, OpRates, Scheme};
 use crate::estimator::CeSupervisor;
 use crate::policy::PolicyContext;
@@ -67,7 +64,7 @@ use control::Control;
 use io_path::IoPath;
 use kernels::calibrate::synthetic_f64_stream;
 use kernels::KernelRegistry;
-use pfs::{DataServer, MemoryStore, MetadataServer, RequestId, StripeLayout};
+use pfs::{MemoryStore, MetadataServer, RequestId, StripeLayout};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ranks::Ranks;
@@ -88,7 +85,7 @@ pub struct DriverConfig {
     /// Move real bytes and run real kernels (small workloads only).
     pub data_plane: bool,
     /// Record a per-stage execution timeline (RunMetrics::trace,
-    /// exportable to chrome://tracing via `driver::trace::to_chrome_json`).
+    /// exportable to chrome://tracing via [`obs::chrome_trace_json`]).
     pub trace: bool,
     /// Deterministic fault schedule applied during the run (empty = no
     /// faults). Node indices are cluster node ids; see [`simkit::fault`].
@@ -214,10 +211,6 @@ impl Driver {
             }
         }
 
-        let servers: BTreeMap<NodeId, DataServer> = cluster
-            .storage_ids()
-            .map(|n| (n, DataServer::new(n)))
-            .collect();
         let caches: BTreeMap<NodeId, pfs::BlockCache> = if cfg.cluster.server_cache_bytes > 0.0 {
             cluster
                 .storage_ids()
@@ -234,10 +227,6 @@ impl Driver {
         let runtimes = cluster
             .storage_ids()
             .map(|n| (n, ActiveIoRuntime::new()))
-            .collect();
-        let ascs: BTreeMap<NodeId, ActiveStorageClient> = cluster
-            .compute_ids()
-            .map(|n| (n, ActiveStorageClient::new(KernelRegistry::with_defaults())))
             .collect();
 
         let dosas = match &cfg.scheme {
@@ -287,7 +276,6 @@ impl Driver {
             io: IoPath {
                 meta,
                 store,
-                ascs,
                 reqs: BTreeMap::new(),
                 apps: BTreeMap::new(),
                 flows: BTreeMap::new(),
@@ -300,7 +288,6 @@ impl Driver {
                 rate_caps_applied: 0,
             },
             server: Servers {
-                servers,
                 runtimes,
                 disk_work: BTreeMap::new(),
                 cpu_work: BTreeMap::new(),

@@ -1,11 +1,12 @@
 //! `server` subsystem: storage-node service — disks, kernels, CPU ticks.
 //!
-//! Owns the per-node [`DataServer`] queues, the [`ActiveIoRuntime`] state
-//! machines, the disk and CPU owner tables, and the FIFO kernel slot
-//! accounting ([`KernelSlots`]). Drives a request from disk completion into
-//! either a storage-side kernel (active service) or a data flow back to the
-//! client (normal/migrated service). Handled events:
-//! [`Ev::DiskTick`](super::Ev::DiskTick), [`Ev::CpuTick`](super::Ev::CpuTick).
+//! Owns the per-node [`ActiveIoRuntime`] tables (each server's request
+//! queue, its depth statistic and counters), the disk and CPU owner tables,
+//! and the FIFO kernel slot accounting ([`KernelSlots`]). Drives a request
+//! from disk completion into either a storage-side kernel (active service)
+//! or a data flow back to the client (normal/migrated service). Handled
+//! events: [`Ev::DiskTick`](super::Ev::DiskTick),
+//! [`Ev::CpuTick`](super::Ev::CpuTick).
 //!
 //! Disk completions are demultiplexed through [`DiskWork`]: request reads
 //! and writes continue here, injected fault stalls are dropped. CPU
@@ -20,7 +21,7 @@ use super::{Driver, Ev};
 use crate::runtime::{ActiveIoRuntime, ServiceMode};
 use cluster::NodeId;
 use kernels::calibrate::synthetic_f64_stream;
-use pfs::{DataServer, RequestId};
+use pfs::RequestId;
 use simkit::fifo::ReqId as DiskReqId;
 use simkit::{Scheduler, SimTime, TaskId, Timer};
 use std::collections::{BTreeMap, VecDeque};
@@ -109,7 +110,7 @@ impl KernelSlots {
 
 /// Storage-service state embedded in [`Driver`].
 pub(super) struct Servers {
-    pub(super) servers: BTreeMap<NodeId, DataServer>,
+    /// One request table per storage node.
     pub(super) runtimes: BTreeMap<NodeId, ActiveIoRuntime>,
     /// Owner of every queued disk request, by (storage ordinal, disk id).
     pub(super) disk_work: BTreeMap<(usize, DiskReqId), DiskWork>,
@@ -461,11 +462,6 @@ impl Driver {
                     r.ship_state = Some(kernel.checkpoint());
                 }
             }
-            self.server
-                .servers
-                .get_mut(&server)
-                .expect("server")
-                .demote(now, id);
             self.start_data_flow(id, true, now, sched);
             return;
         }

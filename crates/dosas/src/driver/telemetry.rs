@@ -14,19 +14,21 @@
 
 use super::autopsy::{AutopsyReport, RankChain, RequestAutopsy, WaitCause};
 use super::metrics::{AppIoRecord, PolicyLogEntry, RunMetrics, TenantReport};
-use super::trace::TraceEvent;
+use super::server::CpuWork;
 use super::{Driver, Ev};
 use crate::estimator::CeStats;
 use crate::runtime::RuntimeCounters;
-use obs::{Label, ObsConfig, Observer, ServerSample, Severity};
-use simkit::{Scheduler, SimTime};
+use obs::{Label, ObsConfig, Observer, ServerSample, Severity, TraceSpan};
+use simkit::{Scheduler, SimTime, TaskId};
 
 /// Telemetry state embedded in [`Driver`].
 #[derive(Default)]
 pub(super) struct Telemetry {
     pub(super) records: Vec<AppIoRecord>,
     pub(super) policy_log: Vec<PolicyLogEntry>,
-    pub(super) trace: Vec<TraceEvent>,
+    /// Chrome trace-event spans, one per pipeline stage of every request
+    /// (`DriverConfig::trace` only).
+    pub(super) trace: Vec<TraceSpan>,
     /// Live observability state; `None` when `DriverConfig::obs` is
     /// disabled, keeping every instrumentation call a branch on an Option.
     pub(super) obs: Option<Observer>,
@@ -51,9 +53,12 @@ impl Telemetry {
 }
 
 impl Driver {
-    /// Record one timeline span (the name closure only runs when tracing is
-    /// on, so disabled runs pay no formatting or allocation). `tenant`
-    /// labels the span's issuing tenant and `wait` attaches the hop's
+    /// Record one timeline span: a complete ("ph":"X") chrome://tracing
+    /// event for one pipeline stage of a request — queue+disk, kernel,
+    /// transfer, client compute — on the node that did the work, timed in
+    /// microseconds of simulated time (the name closure only runs when
+    /// tracing is on, so disabled runs pay no formatting or allocation).
+    /// `tenant` labels the span's issuing tenant and `wait` attaches the hop's
     /// recorded wait time and cause (autopsy runs only); both surface as
     /// Perfetto `args` together with the active policy name. The argument
     /// count mirrors the span tuple itself — splitting it into a struct
@@ -80,12 +85,14 @@ impl Driver {
                     wait_us: wait.map(|(w, _)| w * 1e6),
                     cause: wait.map(|(_, c)| c.as_str().to_string()),
                 });
+            let (start, end) = (start.as_secs_f64(), end.as_secs_f64());
+            debug_assert!(end >= start);
             self.telemetry.trace.push(
-                TraceEvent::new(
+                TraceSpan::complete(
                     name(),
-                    cat,
-                    start.as_secs_f64(),
-                    end.as_secs_f64(),
+                    cat.to_string(),
+                    start * 1e6,
+                    (end - start) * 1e6,
                     node,
                     track,
                 )
@@ -177,14 +184,12 @@ impl Driver {
             .iter()
             .zip(tx_utils)
             .map(|(&node, net_tx_util)| {
-                let ds = &self.server.servers[&node];
+                let runtime = &self.server.runtimes[&node];
                 let kernels_running = self
                     .server
                     .cpu_work
-                    .iter()
-                    .filter(|((n, _), w)| {
-                        *n == node.0 && matches!(w, super::server::CpuWork::Kernel(_))
-                    })
+                    .range((node.0, TaskId(0))..=(node.0, TaskId(u64::MAX)))
+                    .filter(|(_, w)| matches!(w, CpuWork::Kernel(_)))
                     .count();
                 let probe_age_secs = self
                     .control
@@ -193,11 +198,11 @@ impl Driver {
                     .map_or(-1.0, |sup| sup.probe_age_secs(now));
                 ServerSample {
                     node: node.0,
-                    queue_depth: ds.current_depth(),
-                    queue_depth_integral: ds.depth_integral_at(now),
+                    queue_depth: runtime.current_depth(),
+                    queue_depth_integral: runtime.depth_integral_at(now),
                     kernels_running,
                     probe_age_secs,
-                    demoted_total: self.server.runtimes[&node].demoted_total(),
+                    demoted_total: runtime.demoted_total(),
                     net_tx_util,
                 }
             })
@@ -251,19 +256,19 @@ impl Driver {
         for sup in w.control.supervisors.values() {
             ce.absorb(&sup.stats);
         }
-        let n_servers = w.server.servers.len().max(1) as f64;
+        let n_servers = w.server.runtimes.len().max(1) as f64;
         let mean_queue_depth = w
             .server
-            .servers
+            .runtimes
             .values()
-            .map(|s| s.mean_depth(end))
+            .map(|rt| rt.mean_depth(end))
             .sum::<f64>()
             / n_servers;
         let peak_queue_depth = w
             .server
-            .servers
+            .runtimes
             .values()
-            .map(|s| s.peak_depth())
+            .map(|rt| rt.peak_depth())
             .fold(0.0, f64::max);
         // Zero-duration guard: an empty workload finishes at t = 0 with no
         // bytes moved; every derived rate must come out 0, never NaN.

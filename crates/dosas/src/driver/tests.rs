@@ -687,18 +687,18 @@ fn trace_records_every_stage() {
     let m = Driver::run(cfg, &w);
     let trace = m.trace.as_ref().expect("tracing enabled");
     assert!(!trace.is_empty());
-    let cats: std::collections::BTreeSet<&str> = trace.iter().map(|e| e.cat).collect();
+    let cats: std::collections::BTreeSet<&str> = trace.iter().map(|e| e.cat.as_str()).collect();
     assert!(cats.contains("disk"), "{cats:?}");
     assert!(cats.contains("net"), "{cats:?}");
     // 4 Gaussians at n=4 are demoted -> client compute spans exist.
     assert!(cats.contains("cpu"), "{cats:?}");
     // Spans are well-formed and inside the run.
     for e in trace {
-        assert!(e.dur_us >= 0.0);
-        assert!(e.end_secs() <= m.makespan_secs + 1e-6);
+        assert!(e.dur >= 0.0);
+        assert!((e.ts + e.dur) / 1e6 <= m.makespan_secs + 1e-6);
     }
     // Chrome export round-trips.
-    let json = super::trace::to_chrome_json(trace);
+    let json = obs::chrome_trace_json(trace);
     let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert_eq!(parsed.as_array().unwrap().len(), trace.len());
 }

@@ -422,7 +422,7 @@ impl CeSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfs::{DataServer, IoKind, QueuedRequest};
+    use crate::runtime::ActiveIoRuntime;
 
     const MIB: f64 = 1024.0 * 1024.0;
 
@@ -430,26 +430,17 @@ mod tests {
         ContentionEstimator::new(OpRates::paper(), 1.0, 1.0, 118.0 * MIB, 16.0 * 1024.0 * MIB)
     }
 
+    /// A probe of one server whose queue holds `(id, op, bytes)` reads, all
+    /// arrived (an empty `op` is a normal read).
     fn probe_with(reqs: &[(u64, &str, f64)]) -> SystemProbe {
-        let mut ds = DataServer::new(cluster::NodeId(8));
+        let mut runtime = ActiveIoRuntime::new();
         for &(id, op, bytes) in reqs {
-            ds.arrive(
-                SimTime::ZERO,
-                QueuedRequest {
-                    id: RequestId(id),
-                    kind: if op.is_empty() {
-                        IoKind::Normal
-                    } else {
-                        IoKind::Active { op: op.into() }
-                    },
-                    bytes,
-                    client: cluster::NodeId(0),
-                    arrived: SimTime::ZERO,
-                },
-            );
+            let op = (!op.is_empty()).then(|| op.to_string());
+            runtime.track(RequestId(id), op, bytes);
+            runtime.on_arrival(SimTime::ZERO, RequestId(id));
         }
         SystemProbe {
-            queue: ds.snapshot(SimTime::ZERO),
+            queue: runtime.snapshot(SimTime::ZERO),
             background_cpu: 0.0,
             background_memory: 0.0,
             bandwidth_estimate: None,

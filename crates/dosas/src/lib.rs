@@ -31,10 +31,11 @@
 //!   [`policy::ContentionPolicy`] trait, the CE as its reference
 //!   implementation, and competitor policies from the literature
 //!   (straggler re-striping, per-tenant token buckets, a PI governor).
-//! * [`runtime`] — the Active I/O Runtime's per-request server-side state
-//!   machine (admit / demote / interrupt transitions).
-//! * [`asc`] — the Active Storage Client: request registration and
-//!   client-side completion of demoted or migrated operations.
+//! * [`runtime`] — the Active I/O Runtime: one table per storage node that
+//!   owns each read's server-side state (admit / demote / interrupt
+//!   transitions), the queue the CE probes, and its time-weighted depth.
+//! * [`asc`] — the Active Storage Client: a stateless completion step that
+//!   finishes demoted or migrated operations on the client.
 //! * [`driver`] — the end-to-end simulation: interprets rank programs over
 //!   the `cluster`/`pfs`/`mpiio` substrates under a chosen scheme and
 //!   produces [`driver::RunMetrics`].

@@ -1,5 +1,12 @@
-//! The Active I/O Runtime (R, paper §III-C): the server-side per-request
-//! state machine.
+//! The Active I/O Runtime (R, paper §III-C): the one per-storage-node
+//! table of server-side request state.
+//!
+//! Each storage node has one [`ActiveIoRuntime`]. It holds every live read
+//! in [`RequestId`] order (stage, service mode, requested operation and
+//! size `d_i`), the time-weighted queue-depth statistic, and the counters
+//! the evaluation reports. This table *is* the I/O queue the Contention
+//! Estimator probes (paper §III-D): [`ActiveIoRuntime::snapshot`] yields
+//! its still-plannable rows in the paper's Table II notation.
 //!
 //! R serves requests according to the CE's policy:
 //!
@@ -10,12 +17,17 @@
 //!   unprocessed bytes (`completed = 0`, status = checkpoint);
 //! * a completed kernel's result is returned with `completed = 1`.
 //!
-//! The runtime tracks states and validates transitions; the simulation
-//! driver charges the actual disk/CPU/network time against the `cluster`
-//! resources.
+//! Every transition is one call here — arrival, demotion, interruption,
+//! planned split, checkpoint failure, delivery — and the runtime validates
+//! it; the simulation driver charges the actual disk/CPU/network time
+//! against the `cluster` resources. Writes are not tracked (the paper's
+//! active path only reads): they enter only the depth statistic, from
+//! arrival to ack.
 
-use pfs::RequestId;
+use pfs::{QueueSnapshot, RequestId, SnapshotRow};
 use serde::{Deserialize, Serialize};
+use simkit::stats::TimeWeighted;
+use simkit::SimTime;
 use std::collections::BTreeMap;
 
 /// Server-side lifecycle of one request.
@@ -91,7 +103,10 @@ impl std::error::Error for RuntimeError {}
 struct Tracked {
     stage: ServerStage,
     mode: ServiceMode,
-    active_requested: bool,
+    /// Requested operation; `None` for a plain read.
+    op: Option<String>,
+    /// Requested size `d_i` in bytes.
+    bytes: f64,
 }
 
 /// Counters the evaluation reports.
@@ -125,11 +140,24 @@ impl RuntimeCounters {
     }
 }
 
-/// One storage node's Active I/O Runtime.
-#[derive(Debug, Clone, Default)]
+/// One storage node's Active I/O Runtime: its request table, queue depth
+/// and counters.
+#[derive(Debug, Clone)]
 pub struct ActiveIoRuntime {
     requests: BTreeMap<RequestId, Tracked>,
+    /// Requests at the server: +1 at arrival, −1 at delivery or write ack.
+    depth: TimeWeighted,
     pub counters: RuntimeCounters,
+}
+
+impl Default for ActiveIoRuntime {
+    fn default() -> Self {
+        ActiveIoRuntime {
+            requests: BTreeMap::new(),
+            depth: TimeWeighted::new(SimTime::ZERO, 0.0),
+            counters: RuntimeCounters::default(),
+        }
+    }
 }
 
 impl ActiveIoRuntime {
@@ -137,8 +165,10 @@ impl ActiveIoRuntime {
         Self::default()
     }
 
-    /// Register a request the moment the client sends it.
-    pub fn track(&mut self, id: RequestId, active: bool) {
+    /// Register a read the moment the client sends it: `op` is the
+    /// requested kernel (`None` for a plain read), `bytes` its size `d_i`.
+    pub fn track(&mut self, id: RequestId, op: Option<String>, bytes: f64) {
+        let active = op.is_some();
         let prev = self.requests.insert(
             id,
             Tracked {
@@ -148,7 +178,8 @@ impl ActiveIoRuntime {
                 } else {
                     ServiceMode::Normal
                 },
-                active_requested: active,
+                op,
+                bytes,
             },
         );
         assert!(prev.is_none(), "request {id:?} tracked twice");
@@ -161,30 +192,34 @@ impl ActiveIoRuntime {
         self.requests.get(&id).map(|t| t.stage)
     }
 
-    pub fn mode(&self, id: RequestId) -> Option<ServiceMode> {
-        self.requests.get(&id).map(|t| t.mode)
-    }
-
-    /// Requests currently running kernels.
-    pub fn running(&self) -> Vec<RequestId> {
-        self.requests
-            .iter()
-            .filter(|(_, t)| t.stage == ServerStage::Running)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
     fn tracked(&mut self, id: RequestId) -> &mut Tracked {
         self.requests
             .get_mut(&id)
             .unwrap_or_else(|| panic!("request {id:?} not tracked"))
     }
 
-    /// Arrival at the server: the disk read is submitted.
-    pub fn on_arrival(&mut self, id: RequestId) {
+    /// Arrival at the server: the request joins the queue and its disk
+    /// read is submitted.
+    pub fn on_arrival(&mut self, now: SimTime, id: RequestId) {
         let t = self.tracked(id);
-        assert_eq!(t.stage, ServerStage::InFlight, "{id:?}");
+        assert_eq!(
+            t.stage,
+            ServerStage::InFlight,
+            "request {id:?} already queued"
+        );
         t.stage = ServerStage::QueuedDisk;
+        self.depth.add(now, 1.0);
+    }
+
+    /// A write's payload stream began at the server: it counts toward the
+    /// queue depth until [`on_write_acked`](Self::on_write_acked).
+    pub fn on_write_arrival(&mut self, now: SimTime) {
+        self.depth.add(now, 1.0);
+    }
+
+    /// A write's ack reached its client: it leaves the queue.
+    pub fn on_write_acked(&mut self, now: SimTime) {
+        self.depth.add(now, -1.0);
     }
 
     /// Disk read finished. Returns the service mode that must now proceed:
@@ -219,7 +254,7 @@ impl ActiveIoRuntime {
     }
 
     /// Final transfer delivered; the request leaves the runtime.
-    pub fn on_delivered(&mut self, id: RequestId) -> ServiceMode {
+    pub fn on_delivered(&mut self, now: SimTime, id: RequestId) -> ServiceMode {
         let t = self
             .requests
             .remove(&id)
@@ -232,16 +267,13 @@ impl ActiveIoRuntime {
             "{id:?} delivered from stage {:?}",
             t.stage
         );
+        self.depth.add(now, -1.0);
         match t.mode {
             ServiceMode::Active => self.counters.completed_active += 1,
             ServiceMode::Migrated => self.counters.completed_migrated += 1,
-            ServiceMode::Normal => {
-                if t.active_requested {
-                    self.counters.completed_normal += 1;
-                } else {
-                    // plain reads aren't counted as active completions
-                }
-            }
+            // Plain reads aren't counted as active completions.
+            ServiceMode::Normal if t.op.is_some() => self.counters.completed_normal += 1,
+            ServiceMode::Normal => {}
         }
         t.mode
     }
@@ -306,8 +338,64 @@ impl ActiveIoRuntime {
         actions
     }
 
-    pub fn tracked_count(&self) -> usize {
-        self.requests.len()
+    /// The probe payload: the requests R can still re-plan — queued at the
+    /// disk or running a kernel — in id order, with the Table II totals.
+    /// Requests in flight or already shipping are beyond decision. A
+    /// demoted or migrated request lists as normal I/O.
+    pub fn snapshot(&self, now: SimTime) -> QueueSnapshot {
+        let rows: Vec<SnapshotRow> = self
+            .requests
+            .iter()
+            .filter(|(_, t)| matches!(t.stage, ServerStage::QueuedDisk | ServerStage::Running))
+            .map(|(&id, t)| SnapshotRow {
+                id,
+                op: if t.mode == ServiceMode::Active {
+                    t.op.clone()
+                } else {
+                    None
+                },
+                bytes: t.bytes,
+            })
+            .collect();
+        let k = rows.iter().filter(|r| r.is_active()).count();
+        QueueSnapshot {
+            n: rows.len(),
+            k,
+            d_active: rows.iter().filter(|r| r.is_active()).map(|r| r.bytes).sum(),
+            d_normal: rows
+                .iter()
+                .filter(|r| !r.is_active())
+                .map(|r| r.bytes)
+                .sum(),
+            requests: rows,
+            taken_at: now,
+        }
+    }
+
+    /// Instantaneous queue depth: reads from arrival to delivery plus
+    /// writes from arrival to ack.
+    pub fn current_depth(&self) -> f64 {
+        self.depth.current()
+    }
+
+    /// Time-weighted mean queue depth since simulation start.
+    pub fn mean_depth(&self, now: SimTime) -> f64 {
+        self.depth.mean(now)
+    }
+
+    /// Cumulative time-weighted queue-depth integral ∫ depth dt since
+    /// simulation start (requests·seconds). Sampled by the observability
+    /// layer so the timeline reconciles exactly with [`mean_depth`]:
+    /// `depth_integral_at(end) / end == mean_depth(end)` for `end > 0`.
+    ///
+    /// [`mean_depth`]: ActiveIoRuntime::mean_depth
+    pub fn depth_integral_at(&self, now: SimTime) -> f64 {
+        self.depth.integral_at(now)
+    }
+
+    /// Peak queue depth seen.
+    pub fn peak_depth(&self) -> f64 {
+        self.depth.peak()
     }
 
     /// Cumulative demotions this runtime has performed — the demotion-rate
@@ -323,7 +411,6 @@ mod tests {
     use super::*;
     use crate::estimator::{Decision, Policy};
     use proptest::prelude::*;
-    use simkit::SimTime;
     use std::collections::BTreeMap;
 
     fn policy(entries: &[(u64, Decision)]) -> Policy {
@@ -338,54 +425,73 @@ mod tests {
         }
     }
 
+    fn secs(s: f64) -> SimTime {
+        SimTime::from_secs_f64(s)
+    }
+
+    const T0: SimTime = SimTime::ZERO;
+
+    /// Track an active `sum` read of `bytes`.
+    fn track_active(r: &mut ActiveIoRuntime, id: u64, bytes: f64) {
+        r.track(RequestId(id), Some("sum".into()), bytes);
+    }
+
+    /// Track and arrive an active (`op` non-empty) or normal read at `T0`.
+    fn queue(r: &mut ActiveIoRuntime, id: u64, op: &str, bytes: f64) {
+        let op = (!op.is_empty()).then(|| op.to_string());
+        r.track(RequestId(id), op, bytes);
+        r.on_arrival(T0, RequestId(id));
+    }
+
+    fn mode(r: &ActiveIoRuntime, id: u64) -> ServiceMode {
+        r.requests[&RequestId(id)].mode
+    }
+
     #[test]
     fn active_request_happy_path() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         assert_eq!(r.on_disk_done(RequestId(0)), ServiceMode::Active);
         r.on_kernel_done(RequestId(0));
-        assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Active);
+        assert_eq!(r.on_delivered(T0, RequestId(0)), ServiceMode::Active);
         assert_eq!(r.counters.completed_active, 1);
-        assert_eq!(r.tracked_count(), 0);
+        assert!(r.requests.is_empty());
     }
 
     #[test]
     fn normal_request_skips_kernel() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(1), false);
-        r.on_arrival(RequestId(1));
+        queue(&mut r, 1, "", 1.0);
         assert_eq!(r.on_disk_done(RequestId(1)), ServiceMode::Normal);
         assert_eq!(r.stage(RequestId(1)), Some(ServerStage::SendingData));
-        r.on_delivered(RequestId(1));
+        r.on_delivered(T0, RequestId(1));
         assert_eq!(r.counters.completed_active, 0);
+        assert_eq!(r.counters.admitted, 0, "plain reads are not admitted");
     }
 
     #[test]
     fn demotion_before_disk_read() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
         assert_eq!(actions, vec![RuntimeAction::Demote(RequestId(0))]);
         assert_eq!(r.counters.demoted, 1);
         // Disk completion now routes to data shipping.
         assert_eq!(r.on_disk_done(RequestId(0)), ServiceMode::Normal);
-        assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Normal);
+        assert_eq!(r.on_delivered(T0, RequestId(0)), ServiceMode::Normal);
         assert_eq!(r.counters.completed_normal, 1);
     }
 
     #[test]
     fn interruption_of_running_kernel() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         r.on_disk_done(RequestId(0));
-        assert_eq!(r.running(), vec![RequestId(0)]);
+        assert_eq!(r.stage(RequestId(0)), Some(ServerStage::Running));
         let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
         assert_eq!(actions, vec![RuntimeAction::Interrupt(RequestId(0))]);
-        assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Migrated));
-        assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Migrated);
+        assert_eq!(mode(&r, 0), ServiceMode::Migrated);
+        assert_eq!(r.on_delivered(T0, RequestId(0)), ServiceMode::Migrated);
         assert_eq!(r.counters.interrupted, 1);
         assert_eq!(r.counters.completed_migrated, 1);
     }
@@ -393,21 +499,19 @@ mod tests {
     #[test]
     fn planned_split_transitions_like_interruption() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         r.on_disk_done(RequestId(0));
         r.on_kernel_split(RequestId(0));
         assert_eq!(r.stage(RequestId(0)), Some(ServerStage::SendingData));
-        assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Migrated));
+        assert_eq!(mode(&r, 0), ServiceMode::Migrated);
         assert_eq!(r.counters.split, 1);
-        assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Migrated);
+        assert_eq!(r.on_delivered(T0, RequestId(0)), ServiceMode::Migrated);
     }
 
     #[test]
     fn interruption_disabled_leaves_kernel_running() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         r.on_disk_done(RequestId(0));
         let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), false);
         assert!(actions.is_empty());
@@ -417,8 +521,7 @@ mod tests {
     #[test]
     fn active_decision_is_noop() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         let actions = r.apply_policy(&policy(&[(0, Decision::Active)]), true);
         assert!(actions.is_empty());
     }
@@ -428,13 +531,13 @@ mod tests {
         let mut r = ActiveIoRuntime::new();
         let actions = r.apply_policy(&policy(&[(42, Decision::Normal)]), true);
         assert!(actions.is_empty());
+        assert_eq!(r.counters.demoted, 0);
     }
 
     #[test]
     fn double_demotion_is_idempotent() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
         let again = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
         assert!(again.is_empty());
@@ -445,33 +548,43 @@ mod tests {
     #[should_panic(expected = "tracked twice")]
     fn double_track_panics() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.track(RequestId(0), true);
+        track_active(&mut r, 0, 1.0);
+        track_active(&mut r, 0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "not tracked")]
     fn transition_without_tracking_panics() {
         let mut r = ActiveIoRuntime::new();
-        r.on_arrival(RequestId(5));
+        r.on_arrival(T0, RequestId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "already queued")]
+    fn duplicate_arrival_panics() {
+        let mut r = ActiveIoRuntime::new();
+        queue(&mut r, 0, "", 1.0);
+        r.on_arrival(T0, RequestId(0));
     }
 
     #[test]
     fn checkpoint_failure_requeues_as_normal() {
         let mut r = ActiveIoRuntime::new();
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         r.on_disk_done(RequestId(0));
         r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
-        assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Migrated));
+        assert_eq!(mode(&r, 0), ServiceMode::Migrated);
         // The checkpoint shipment dies in flight.
         r.on_checkpoint_failed(RequestId(0)).unwrap();
         assert_eq!(r.stage(RequestId(0)), Some(ServerStage::QueuedDisk));
-        assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Normal));
+        assert_eq!(mode(&r, 0), ServiceMode::Normal);
         assert_eq!(r.counters.checkpoint_failures, 1);
+        // Back in the plannable queue, as normal I/O.
+        let s = r.snapshot(T0);
+        assert_eq!((s.n, s.k), (1, 0));
         // The re-read then ships plain data to completion.
         assert_eq!(r.on_disk_done(RequestId(0)), ServiceMode::Normal);
-        assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Normal);
+        assert_eq!(r.on_delivered(T0, RequestId(0)), ServiceMode::Normal);
         assert_eq!(r.counters.completed_normal, 1);
     }
 
@@ -482,8 +595,7 @@ mod tests {
             r.on_checkpoint_failed(RequestId(3)),
             Err(RuntimeError::NotTracked(RequestId(3)))
         );
-        r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        queue(&mut r, 0, "sum", 1.0);
         // QueuedDisk/Active is not a failable shipment.
         assert_eq!(
             r.on_checkpoint_failed(RequestId(0)),
@@ -498,6 +610,108 @@ mod tests {
         r.on_disk_done(RequestId(0));
         assert!(r.on_checkpoint_failed(RequestId(0)).is_err());
         assert_eq!(r.counters.checkpoint_failures, 0);
+    }
+
+    // ----- The one table: probe snapshot and queue depth -----
+
+    #[test]
+    fn snapshot_matches_table_ii_notation() {
+        let mut r = ActiveIoRuntime::new();
+        queue(&mut r, 0, "sum", 100.0);
+        queue(&mut r, 1, "sum", 200.0);
+        queue(&mut r, 2, "", 50.0);
+        let s = r.snapshot(T0);
+        assert_eq!(s.n, 3);
+        assert_eq!(s.k, 2);
+        assert_eq!(s.d_active, 300.0);
+        assert_eq!(s.d_normal, 50.0);
+        assert_eq!(s.d_total(), 350.0);
+        assert_eq!(s.requests.len(), 3);
+    }
+
+    #[test]
+    fn demotion_shows_as_normal_io_in_the_snapshot() {
+        let mut r = ActiveIoRuntime::new();
+        queue(&mut r, 0, "sum", 100.0);
+        r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        let s = r.snapshot(secs(0.5));
+        assert_eq!(s.k, 0);
+        assert_eq!(s.d_normal, 100.0);
+        assert_eq!(s.requests[0].op, None);
+    }
+
+    #[test]
+    fn delivery_removes_the_request_from_the_table() {
+        let mut r = ActiveIoRuntime::new();
+        queue(&mut r, 0, "", 100.0);
+        r.on_disk_done(RequestId(0));
+        r.on_delivered(secs(1.0), RequestId(0));
+        assert_eq!(r.stage(RequestId(0)), None);
+        assert_eq!(r.current_depth(), 0.0);
+        assert_eq!(r.snapshot(secs(1.0)).n, 0);
+    }
+
+    #[test]
+    fn depth_statistics_are_time_weighted() {
+        let mut r = ActiveIoRuntime::new();
+        queue(&mut r, 0, "", 1.0);
+        queue(&mut r, 1, "", 1.0);
+        r.on_disk_done(RequestId(0));
+        r.on_disk_done(RequestId(1));
+        r.on_delivered(secs(1.0), RequestId(0));
+        r.on_delivered(secs(2.0), RequestId(1));
+        // Depth 2 for 1 s, 1 for 1 s => mean 1.5 at t=2.
+        assert!((r.mean_depth(secs(2.0)) - 1.5).abs() < 1e-9);
+        assert_eq!(r.peak_depth(), 2.0);
+    }
+
+    /// One server holding every kind of request at once: the snapshot lists
+    /// exactly the queued and running reads in id order with Table II
+    /// totals that are the row sums, while the depth statistic also counts
+    /// the write and the request shipping data, until their delivery.
+    #[test]
+    fn one_table_snapshots_plannable_reads_and_counts_every_arrival() {
+        let mut r = ActiveIoRuntime::new();
+        track_active(&mut r, 0, 10.0); // in flight: tracked, not arrived
+        queue(&mut r, 1, "gaussian2d", 100.0); // queued active
+        queue(&mut r, 2, "sum", 200.0); // queued active
+        queue(&mut r, 3, "", 50.0); // queued normal
+        queue(&mut r, 4, "sum", 400.0); // will run its kernel
+        assert_eq!(r.on_disk_done(RequestId(4)), ServiceMode::Active);
+        queue(&mut r, 5, "", 800.0); // will ship its data
+        assert_eq!(r.on_disk_done(RequestId(5)), ServiceMode::Normal);
+        assert_eq!(r.current_depth(), 5.0, "the in-flight read is not queued");
+        r.on_write_arrival(secs(1.0));
+        assert_eq!(r.current_depth(), 6.0);
+
+        let s = r.snapshot(secs(1.0));
+        let ids: Vec<u64> = s.requests.iter().map(|row| row.id.0).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+        let ops: Vec<Option<&str>> = s.requests.iter().map(|row| row.op.as_deref()).collect();
+        assert_eq!(
+            ops,
+            vec![Some("gaussian2d"), Some("sum"), None, Some("sum")]
+        );
+        let active = s.requests.iter().filter(|row| row.is_active());
+        let normal = s.requests.iter().filter(|row| !row.is_active());
+        assert_eq!(s.n, s.requests.len());
+        assert_eq!(s.k, active.clone().count());
+        assert_eq!(s.d_active, active.map(|row| row.bytes).sum::<f64>());
+        assert_eq!(s.d_normal, normal.map(|row| row.bytes).sum::<f64>());
+        assert_eq!((s.n, s.k, s.d_active, s.d_normal), (4, 3, 700.0, 50.0));
+        assert_eq!(s.taken_at, secs(1.0));
+
+        r.on_delivered(secs(2.0), RequestId(5));
+        assert_eq!(r.current_depth(), 5.0);
+        r.on_write_acked(secs(3.0));
+        assert_eq!(r.current_depth(), 4.0);
+        // Depth 5 over [0,1), 6 over [1,2), 5 over [2,3), 4 over [3,4):
+        // ∫ = 20 request·s, mean 5 at t = 4; peak 6 while the write was in.
+        assert_eq!(r.depth_integral_at(secs(4.0)), 20.0);
+        assert_eq!(r.mean_depth(secs(4.0)), 5.0);
+        assert_eq!(r.peak_depth(), 6.0);
+        assert_eq!(r.counters.admitted, 4, "admitted at issue, reads only");
+        assert_eq!(r.counters.completed_normal, 0, "plain reads not counted");
     }
 
     // ----- State-machine property (fault-interleaving robustness) -----
@@ -523,67 +737,95 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
-        /// Drive one tracked request through an arbitrary interleaving of
-        /// driver events, policy updates, and injected checkpoint failures.
-        /// The runtime must never reach an illegal (stage, mode) pair, never
-        /// accept `on_checkpoint_failed` outside Migrated shipment, and its
-        /// counters must stay consistent with observed completions.
+        /// Drive one tracked read through an arbitrary interleaving of
+        /// driver events, policy updates, injected checkpoint failures and
+        /// write traffic on the same server. The runtime must never reach
+        /// an illegal (stage, mode) pair, never accept
+        /// `on_checkpoint_failed` outside Migrated shipment, list the read
+        /// in its snapshot exactly while it is plannable, keep the depth at
+        /// arrivals minus deliveries, and keep its counters consistent with
+        /// observed completions.
         #[test]
         fn arbitrary_interleavings_never_reach_invalid_state(
             active in 0u8..2,
-            cmds in proptest::collection::vec(0u8..7, 1..60),
+            cmds in proptest::collection::vec(0u8..9, 1..60),
         ) {
             let mut r = ActiveIoRuntime::new();
             let id = RequestId(0);
-            r.track(id, active == 1);
+            r.track(id, (active == 1).then(|| "sum".to_string()), 64.0);
             let mut delivered = false;
-            for cmd in cmds {
-                if delivered {
-                    break;
-                }
-                let stage = r.stage(id).unwrap();
-                let mode = r.mode(id).unwrap();
-                match cmd {
-                    0 if stage == ServerStage::InFlight => r.on_arrival(id),
-                    1 if stage == ServerStage::QueuedDisk => {
+            let (mut arrived, mut done, mut writes) = (0u64, 0u64, 0u64);
+            for (step, cmd) in cmds.into_iter().enumerate() {
+                let now = SimTime::from_nanos(step as u64 * 1_000);
+                let state = r.requests.get(&id).map(|t| (t.stage, t.mode));
+                match (cmd, state) {
+                    (0, Some((ServerStage::InFlight, _))) => {
+                        r.on_arrival(now, id);
+                        arrived += 1;
+                    }
+                    (1, Some((ServerStage::QueuedDisk, mode))) => {
                         let served = r.on_disk_done(id);
                         prop_assert_eq!(served, mode);
                     }
-                    2 if stage == ServerStage::Running => r.on_kernel_done(id),
-                    3 if stage == ServerStage::Running && mode == ServiceMode::Active => {
+                    (2, Some((ServerStage::Running, _))) => r.on_kernel_done(id),
+                    (3, Some((ServerStage::Running, ServiceMode::Active))) => {
                         r.on_kernel_split(id)
                     }
-                    4 => {
-                        // Policy flips to Normal; allow_interrupt alternates
-                        // with the command parity of the stage.
+                    (4, Some((stage, _))) => {
+                        // Policy flips to Normal; interruption is allowed
+                        // unless the result is already being sent.
                         let allow = stage != ServerStage::SendingResult;
                         r.apply_policy(&policy(&[(0, Decision::Normal)]), allow);
                     }
-                    5 => {
+                    (5, Some((stage, mode))) => {
                         let failable = stage == ServerStage::SendingData
                             && mode == ServiceMode::Migrated;
                         let res = r.on_checkpoint_failed(id);
                         prop_assert_eq!(res.is_ok(), failable);
                     }
-                    6 if matches!(
-                        stage,
-                        ServerStage::SendingResult | ServerStage::SendingData
-                    ) =>
-                    {
-                        r.on_delivered(id);
+                    (
+                        6,
+                        Some((ServerStage::SendingResult | ServerStage::SendingData, _)),
+                    ) => {
+                        r.on_delivered(now, id);
                         delivered = true;
+                        done += 1;
+                    }
+                    (7, _) => {
+                        r.on_write_arrival(now);
+                        arrived += 1;
+                        writes += 1;
+                    }
+                    (8, _) if writes > 0 => {
+                        r.on_write_acked(now);
+                        writes -= 1;
+                        done += 1;
                     }
                     _ => {} // command not applicable in this state: skip
                 }
-                if !delivered {
-                    let (s, m) = (r.stage(id).unwrap(), r.mode(id).unwrap());
+                prop_assert_eq!(r.current_depth(), (arrived - done) as f64);
+                let snap = r.snapshot(now);
+                for row in &snap.requests {
+                    let t = &r.requests[&row.id];
                     prop_assert!(
-                        state_is_legal(s, m),
+                        matches!(t.stage, ServerStage::QueuedDisk | ServerStage::Running),
+                        "snapshot lists {:?} in stage {:?}",
+                        row.id,
+                        t.stage
+                    );
+                    prop_assert_eq!(row.is_active(), t.mode == ServiceMode::Active);
+                }
+                if let Some(t) = r.requests.get(&id) {
+                    prop_assert!(
+                        state_is_legal(t.stage, t.mode),
                         "illegal state {:?}/{:?} after cmd {}",
-                        s,
-                        m,
+                        t.stage,
+                        t.mode,
                         cmd
                     );
+                    let plannable =
+                        matches!(t.stage, ServerStage::QueuedDisk | ServerStage::Running);
+                    prop_assert_eq!(snap.n, usize::from(plannable));
                 }
             }
             let c = r.counters;
@@ -594,7 +836,7 @@ mod tests {
             let completions = c.completed_active + c.completed_normal + c.completed_migrated;
             prop_assert!(completions <= 1);
             if delivered {
-                prop_assert_eq!(r.tracked_count(), 0);
+                prop_assert!(r.requests.is_empty());
             }
         }
     }

@@ -4,8 +4,9 @@
 //!   text exposition, used by the verify smoke test to prove the snapshot a
 //!   run emits actually parses.
 //! * [`TraceSpan`] / [`chrome_trace_json`] — the chrome://tracing
-//!   (trace-event format) exporter; the driver's legacy `trace` path
-//!   delegates here so there is exactly one serializer for `trace.json`.
+//!   (trace-event format) exporter; the driver records its timeline as
+//!   [`TraceSpan`]s directly, so there is one span type and exactly one
+//!   serializer for `trace.json`.
 
 use serde::Serialize;
 

@@ -7,10 +7,12 @@
 //!    a file onto data servers; [`client`] plans scatter-gather reads.
 //! 2. **Metadata service** — [`meta`] provides a namespace, file handles and
 //!    stat, mirroring PVFS2's metadata server.
-//! 3. **An observable per-server I/O queue** — [`data`] tracks the queue of
-//!    normal and active requests at each data server. This queue, in the
-//!    paper's Table II notation (`n`, `k`, `d_i`, `D_A`, `D_N`, `D`), is the
-//!    state the DOSAS Contention Estimator probes.
+//! 3. **An observable per-server I/O queue** — [`data`] defines request ids
+//!    and the probe's [`QueueSnapshot`] of a server's queue in the paper's
+//!    Table II notation (`n`, `k`, `d_i`, `D_A`, `D_N`, `D`). The queue
+//!    itself lives in the `dosas` crate's Active I/O Runtime, which owns
+//!    each request's server-side state; the snapshot types stay here so
+//!    every contention policy shares one vocabulary.
 //!
 //! A small in-memory object [`store`] carries *real* bytes through the
 //! simulation so scheme-equivalence tests can assert that TS, AS and DOSAS
@@ -31,7 +33,7 @@ pub mod store;
 
 pub use cache::{BlockCache, CacheAccess};
 pub use client::{ReadPlan, ReadTracker};
-pub use data::{DataServer, IoKind, QueueSnapshot, QueuedRequest, RequestId, SnapshotRow};
+pub use data::{QueueSnapshot, RequestId, SnapshotRow};
 pub use error::PfsError;
 pub use layout::{Extent, StripeLayout};
 pub use meta::{FileHandle, FileMeta, MetadataServer};

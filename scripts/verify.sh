@@ -37,6 +37,9 @@ cargo test -q --test tenant_scenarios
 # policy agrees on the optimum up to k = 16.
 cargo test -q --test policy_arena
 cargo test -q -p dosas --lib solvers_cross_check_to_k16
+# One request table per server (DESIGN.md §3): R's table is the probed
+# queue — snapshot rows, Table II totals, depth and transitions agree.
+cargo test -q -p dosas --lib runtime::
 # Incremental-fabric guarantees (DESIGN.md §10): the coalesced/dirty-set
 # fill must be bit-identical to the from-scratch fill in both substrates,
 # the slot-indexed share resource must match its map-and-heap reference

@@ -293,7 +293,7 @@ fn main() {
             );
         }
         if let (Some(path), Some(trace)) = (&args.trace, &m.trace) {
-            let json = dosas::driver::trace::to_chrome_json(trace);
+            let json = obs::chrome_trace_json(trace);
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("warning: could not write trace to {path}: {e}");
             } else if !args.json {
@@ -361,10 +361,7 @@ fn write_obs_dir(
     std::fs::write(dir.join("metrics.prom"), report.to_prometheus())?;
     std::fs::write(dir.join("timeline.jsonl"), report.timeline_jsonl())?;
     let trace = m.trace.as_deref().unwrap_or(&[]);
-    std::fs::write(
-        dir.join("trace.json"),
-        dosas::driver::trace::to_chrome_json(trace),
-    )?;
+    std::fs::write(dir.join("trace.json"), obs::chrome_trace_json(trace))?;
     std::fs::write(
         dir.join("profile.json"),
         serde_json::to_string_pretty(profile).expect("profile serializes"),

@@ -422,13 +422,13 @@ fn cpu_stall_closing_mid_kernel_rearms_the_cpu_tick() {
         .iter()
         .find(|e| e.cat == "kernel")
         .expect("the clean run traces its kernel");
-    let t_k = kernel.ts_us / 1e6;
+    let t_k = kernel.ts / 1e6;
     assert!(
         0.05 < t_k && t_k < 1.0,
         "the stall must open before the kernel starts ({t_k} s) and close after"
     );
     assert!(
-        t_k + kernel.dur_us / 1e6 > 1.0,
+        t_k + kernel.dur / 1e6 > 1.0,
         "the stall must close mid-kernel"
     );
 
