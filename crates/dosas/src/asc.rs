@@ -14,65 +14,55 @@
 //!    ones), without any application involvement.
 //!
 //! [`handle_result`] is that completion step: a pure function of the
-//! returned [`ResultBuf`] and the request's recorded operation and size.
+//! returned [`ResultBuf`] and the request's size. [`client_kernel`] builds
+//! the kernel the client finishes with; only a run that moves real bytes
+//! needs one, so the timing plane never calls it.
 
-use kernels::{Kernel, KernelError, KernelParams, KernelRegistry};
+use kernels::{Kernel, KernelError, KernelParams, KernelRegistry, KernelState};
 use mpiio::file::{ResultBuf, ResultPayload};
 
 /// What must happen next for a returned request.
+#[derive(Debug)]
 pub enum ClientAction {
     /// `completed == 1`: hand the result to the application.
     Deliver(Vec<u8>),
-    /// `completed == 0`: the ASC must process `remaining_bytes` locally
-    /// with `kernel` (fresh or restored) before delivering.
+    /// `completed == 0`: the ASC must process `remaining_bytes` locally,
+    /// resuming from `state` (an interrupted kernel's checkpoint) or from
+    /// scratch (`None`).
     FinishLocally {
         remaining_bytes: u64,
-        kernel: Box<dyn Kernel>,
+        state: Option<KernelState>,
     },
 }
 
-impl std::fmt::Debug for ClientAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientAction::Deliver(bytes) => write!(f, "Deliver({} bytes)", bytes.len()),
-            ClientAction::FinishLocally {
-                remaining_bytes,
-                kernel,
-            } => write!(
-                f,
-                "FinishLocally {{ remaining: {remaining_bytes}, op: {} }}",
-                kernel.op_name()
-            ),
-        }
+/// Handle the storage side's `struct result` for an active read of
+/// `io_bytes` bytes.
+///
+/// Checks the `completed` argument: 1 → return the result directly;
+/// 0 → report how many bytes the client still has to process and from
+/// which kernel state.
+pub fn handle_result(io_bytes: u64, result: ResultBuf) -> ClientAction {
+    match result.payload {
+        ResultPayload::Completed(bytes) => ClientAction::Deliver(bytes),
+        ResultPayload::Uncompleted(state) => ClientAction::FinishLocally {
+            remaining_bytes: io_bytes - result.offset.min(io_bytes),
+            state,
+        },
     }
 }
 
-/// Handle the storage side's `struct result` for an active read of
-/// `io_bytes` bytes that asked for `op` with `params`.
-///
-/// Checks the `completed` argument: 1 → return the result directly;
-/// 0 → build (or restore) the kernel and report how many bytes the client
-/// still has to process.
-pub fn handle_result(
+/// The kernel a [`ClientAction::FinishLocally`] request finishes with: a
+/// fresh `op` kernel built from `params`, or the interrupted one restored
+/// from its checkpoint `state`.
+pub fn client_kernel(
     registry: &KernelRegistry,
     op: &str,
     params: &KernelParams,
-    io_bytes: u64,
-    result: ResultBuf,
-) -> Result<ClientAction, KernelError> {
-    match result.payload {
-        ResultPayload::Completed(bytes) => Ok(ClientAction::Deliver(bytes)),
-        ResultPayload::Uncompleted(state) => {
-            let kernel = match state {
-                Some(state) => registry.restore(&state)?,
-                None => registry.create(op, params)?,
-            };
-            let done = result.offset.min(io_bytes);
-            Ok(ClientAction::FinishLocally {
-                remaining_bytes: io_bytes - done,
-                kernel,
-            })
-        }
+    state: Option<&KernelState>,
+) -> Result<Box<dyn Kernel>, KernelError> {
+    match state {
+        Some(state) => registry.restore(state),
+        None => registry.create(op, params),
     }
 }
 
@@ -82,15 +72,20 @@ mod tests {
     use kernels::sum::SumKernel;
     use pfs::FileHandle;
 
-    fn handle(op: &str, io_bytes: u64, result: ResultBuf) -> Result<ClientAction, KernelError> {
-        let registry = KernelRegistry::with_defaults();
-        handle_result(&registry, op, &KernelParams::default(), io_bytes, result)
+    fn finish_locally(action: ClientAction) -> (u64, Option<KernelState>) {
+        match action {
+            ClientAction::FinishLocally {
+                remaining_bytes,
+                state,
+            } => (remaining_bytes, state),
+            other => panic!("expected FinishLocally, got {other:?}"),
+        }
     }
 
     #[test]
     fn completed_result_is_delivered() {
         let r = ResultBuf::completed(vec![7, 7], FileHandle(1), 1024);
-        match handle("sum", 1024, r).unwrap() {
+        match handle_result(1024, r) {
             ClientAction::Deliver(bytes) => assert_eq!(bytes, vec![7, 7]),
             other => panic!("expected Deliver, got {other:?}"),
         }
@@ -99,17 +94,13 @@ mod tests {
     #[test]
     fn fresh_demotion_creates_new_kernel() {
         let r = ResultBuf::uncompleted(None, FileHandle(1), 0);
-        match handle("sum", 800, r).unwrap() {
-            ClientAction::FinishLocally {
-                remaining_bytes,
-                kernel,
-            } => {
-                assert_eq!(remaining_bytes, 800);
-                assert_eq!(kernel.op_name(), "sum");
-                assert_eq!(kernel.bytes_processed(), 0);
-            }
-            other => panic!("expected FinishLocally, got {other:?}"),
-        }
+        let (remaining_bytes, state) = finish_locally(handle_result(800, r));
+        assert_eq!(remaining_bytes, 800);
+        assert!(state.is_none());
+        let registry = KernelRegistry::with_defaults();
+        let kernel = client_kernel(&registry, "sum", &KernelParams::default(), None).unwrap();
+        assert_eq!(kernel.op_name(), "sum");
+        assert_eq!(kernel.bytes_processed(), 0);
     }
 
     #[test]
@@ -124,25 +115,21 @@ mod tests {
         let state = storage_kernel.checkpoint();
 
         let r = ResultBuf::uncompleted(Some(state), FileHandle(1), cut as u64);
-        match handle("sum", data.len() as u64, r).unwrap() {
-            ClientAction::FinishLocally {
-                remaining_bytes,
-                mut kernel,
-            } => {
-                assert_eq!(remaining_bytes as usize, data.len() - cut);
-                assert_eq!(kernel.bytes_processed(), cut as u64, "restored");
-                kernel.process_chunk(&data[cut..]);
-                let mut whole = SumKernel::new();
-                whole.process_chunk(&data);
-                assert_eq!(kernel.finalize(), whole.finalize());
-            }
-            other => panic!("expected FinishLocally, got {other:?}"),
-        }
+        let (remaining_bytes, state) = finish_locally(handle_result(data.len() as u64, r));
+        assert_eq!(remaining_bytes as usize, data.len() - cut);
+        let registry = KernelRegistry::with_defaults();
+        let mut kernel =
+            client_kernel(&registry, "sum", &KernelParams::default(), state.as_ref()).unwrap();
+        assert_eq!(kernel.bytes_processed(), cut as u64, "restored");
+        kernel.process_chunk(&data[cut..]);
+        let mut whole = SumKernel::new();
+        whole.process_chunk(&data);
+        assert_eq!(kernel.finalize(), whole.finalize());
     }
 
     #[test]
     fn unknown_op_surfaces_kernel_error() {
-        let r = ResultBuf::uncompleted(None, FileHandle(1), 0);
-        assert!(handle("nonsense", 8, r).is_err());
+        let registry = KernelRegistry::with_defaults();
+        assert!(client_kernel(&registry, "nonsense", &KernelParams::default(), None).is_err());
     }
 }

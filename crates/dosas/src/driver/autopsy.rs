@@ -570,7 +570,7 @@ impl AutopsyReport {
     }
 }
 
-impl Driver {
+impl Driver<'_> {
     /// Classify a disk hop's wait on `node` over `[start, end)`: a
     /// disk-stall (or node-leave) fault window overlapping the hop owns
     /// the wait; otherwise it is plain queueing.

@@ -16,7 +16,7 @@ use super::{Driver, Ev};
 use cluster::NodeId;
 use simkit::{Scheduler, SimSpan, SimTime};
 
-impl Driver {
+impl Driver<'_> {
     /// Re-evaluate the fault plan at a window boundary and push the current
     /// degradation state into the cluster resources. Factors are applied
     /// absolutely (not incrementally), so overlapping windows compose and

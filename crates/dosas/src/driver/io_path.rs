@@ -50,11 +50,11 @@ pub(super) enum FlowWork {
 }
 
 /// I/O-path state embedded in [`Driver`].
-pub(super) struct IoPath {
+pub(super) struct IoPath<'w> {
     pub(super) meta: MetadataServer,
     pub(super) store: MemoryStore,
-    pub(super) reqs: BTreeMap<RequestId, Req>,
-    pub(super) apps: BTreeMap<AppIoId, AppIo>,
+    pub(super) reqs: BTreeMap<RequestId, Req<'w>>,
+    pub(super) apps: BTreeMap<AppIoId, AppIo<'w>>,
     /// Owner of every fabric flow in flight.
     pub(super) flows: BTreeMap<FlowId, FlowWork>,
     /// Optional per-storage-node buffer caches (ClusterConfig knob).
@@ -74,7 +74,7 @@ pub(super) struct IoPath {
     pub(super) rate_caps_applied: u64,
 }
 
-impl Driver {
+impl Driver<'_> {
     /// Re-arm the fabric's completion timer after a fabric change.
     pub(super) fn schedule_net(&mut self, sched: &mut Scheduler<Ev>) {
         let next = self.cluster.fabric.next_completion();
@@ -391,10 +391,7 @@ impl Driver {
             ServiceMode::Active => {
                 let result = r.result.take().unwrap_or_default();
                 let rb = ResultBuf::completed(result, r.fh, io_bytes);
-                let op = r.op.as_deref().expect("active request has op");
-                let params = &self.io.apps[&app_id].params;
-                let action = asc::handle_result(&self.registry, op, params, io_bytes, rb)
-                    .expect("completed results never fail");
+                let action = asc::handle_result(io_bytes, rb);
                 let app = self.io.apps.get_mut(&app_id).expect("app");
                 app.any_active_completed = true;
                 if let ClientAction::Deliver(bytes) = action {
@@ -404,27 +401,35 @@ impl Driver {
                 }
             }
             ServiceMode::Normal | ServiceMode::Migrated => {
-                if let Some(op) = r.op.as_deref() {
+                if let Some(op) = r.op {
                     // Demoted or migrated active request: the ASC finishes it.
                     let state = r.ship_state.take();
                     let rb = ResultBuf::uncompleted(state, r.fh, r.processed_bytes.floor() as u64);
-                    let params = &self.io.apps[&app_id].params;
-                    let action = asc::handle_result(&self.registry, op, params, io_bytes, rb)
-                        .expect("registered ops restore");
+                    let action = asc::handle_result(io_bytes, rb);
                     let app = self.io.apps.get_mut(&app_id).expect("app");
                     match action {
                         ClientAction::FinishLocally {
                             remaining_bytes,
-                            kernel,
+                            state,
                         } => {
                             app.client_bytes += remaining_bytes as f64;
-                            app.rate_op = r.op.clone();
+                            app.rate_op = Some(op);
                             if mode == ServiceMode::Migrated {
                                 app.any_migrated = true;
                             } else {
                                 app.any_demoted = true;
                             }
+                            // Only the data plane runs the client's kernel,
+                            // so only it builds one (as `start_kernel` does
+                            // on the storage side).
                             if self.cfg.data_plane {
+                                let kernel = asc::client_kernel(
+                                    &self.registry,
+                                    op,
+                                    app.params,
+                                    state.as_ref(),
+                                )
+                                .expect("registered ops restore");
                                 let tail = r
                                     .data
                                     .as_ref()
@@ -442,7 +447,7 @@ impl Driver {
                     let app = self.io.apps.get_mut(&app_id).expect("app");
                     if app.client_op.is_some() {
                         app.client_bytes += r.bytes;
-                        app.rate_op = app.client_op.as_ref().map(|(op, _)| op.clone());
+                        app.rate_op = app.client_op.map(|(op, _)| op);
                     }
                     if self.cfg.data_plane {
                         let data = r.data.take().expect("data-plane bytes");
@@ -468,14 +473,11 @@ impl Driver {
             // forward as the app's causal chain.
             app.chain = r.chain.take();
             if app.client_bytes > 0.0 {
-                let op = app
-                    .rate_op
-                    .clone()
-                    .expect("client compute has an operation");
+                let op = app.rate_op.expect("client compute has an operation");
                 let client_bytes = app.client_bytes;
                 let rank = app.rank;
                 app.t_client_start = now;
-                let core_seconds = self.cpu_cost(client_bytes / self.cfg.rates.per_core(&op));
+                let core_seconds = self.cpu_cost(client_bytes / self.cfg.rates.per_core(op));
                 // Autopsy: the client compute's ideal is its solo run.
                 if let Some(ch) = self.io.apps.get_mut(&app_id).expect("app").chain.as_mut() {
                     ch.arm(core_seconds);
@@ -512,7 +514,7 @@ impl Driver {
         if app.client_bytes > 0.0 {
             let node = self.ranks.states[app.rank].node.0;
             let start = app.t_client_start;
-            let op = app.rate_op.clone().unwrap_or_default();
+            let op = app.rate_op.unwrap_or_default();
             let tenant = app.tenant;
             let wait = chain.as_ref().and_then(|ch| {
                 ch.hops()
@@ -539,10 +541,7 @@ impl Driver {
                     app: app_id.0,
                     rank: app.rank,
                     tenant: app.tenant,
-                    op: app
-                        .op
-                        .clone()
-                        .or_else(|| app.client_op.as_ref().map(|(op, _)| op.clone())),
+                    op: app.op_name(),
                     bytes: app.total_bytes,
                     issued_at: app.issued_at,
                     completed_at: now,
@@ -591,10 +590,7 @@ impl Driver {
             rank: app.rank,
             tenant: app.tenant,
             bytes: app.total_bytes,
-            op: app
-                .op
-                .clone()
-                .or_else(|| app.client_op.as_ref().map(|(op, _)| op.clone())),
+            op: app.op_name(),
             issued_at: app.issued_at,
             completed_at: now,
             site,

@@ -1,14 +1,13 @@
 //! Request issue: one MPI-IO call becomes per-server request parts.
 
-use super::types::{AppIo, AppIoId, FileSpan, IssueKind, Req};
+use super::types::{AppIo, AppIoId, FileSpan, IssueKind, Req, NO_PARAMS};
 use crate::driver::{Driver, Ev};
 use cluster::NodeId;
-use kernels::KernelParams;
 use pfs::{ReadPlan, RequestId};
 use simkit::{Scheduler, SimTime};
 use std::collections::BTreeMap;
 
-impl Driver {
+impl<'w> Driver<'w> {
     /// Create an app I/O and its per-server parts, and launch the request
     /// messages toward their data servers. Reads register with the server
     /// runtime; writes are plain normal I/O — the paper's active path only
@@ -17,7 +16,7 @@ impl Driver {
         &mut self,
         rank: usize,
         span: FileSpan<'_>,
-        kind: IssueKind,
+        kind: IssueKind<'w>,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
@@ -27,8 +26,8 @@ impl Driver {
             bytes,
         } = span;
         let fh = self.io.meta.lookup(path).expect("workload file exists");
-        let file_meta = self.io.meta.stat(fh).expect("fresh handle").clone();
-        let plan = ReadPlan::new(&file_meta, offset, bytes).expect("in-bounds access");
+        let file_meta = self.io.meta.stat(fh).expect("fresh handle");
+        let plan = ReadPlan::new(file_meta, offset, bytes).expect("in-bounds access");
         let (active, client_op, is_write) = match kind {
             IssueKind::Read { active, client_op } => (active, client_op, false),
             IssueKind::Write => (None, None, true),
@@ -60,9 +59,9 @@ impl Driver {
         let app_id = AppIoId(self.io.next_app);
         self.io.next_app += 1;
         let client = self.ranks.states[rank].node;
-        let (op_name, params) = match &active {
-            Some((op, p)) => (Some(op.clone()), p.clone()),
-            None => (None, KernelParams::default()),
+        let (op_name, params) = match active {
+            Some((op, p)) => (Some(op), p),
+            None => (None, &NO_PARAMS),
         };
 
         self.io.apps.insert(
@@ -70,7 +69,7 @@ impl Driver {
             AppIo {
                 rank,
                 tenant: self.ranks.states[rank].tenant,
-                op: op_name.clone(),
+                op: op_name,
                 params,
                 client_op,
                 parts_pending: groups.len(),
@@ -96,7 +95,7 @@ impl Driver {
                     .runtimes
                     .get_mut(&server)
                     .expect("extent targets a storage node")
-                    .track(id, op_name.clone(), total as f64);
+                    .track(id, op_name.map(str::to_owned), total as f64);
             }
             self.io.reqs.insert(
                 id,
@@ -107,7 +106,7 @@ impl Driver {
                     server,
                     bytes: total as f64,
                     is_write,
-                    op: op_name.clone(),
+                    op: op_name,
                     fh,
                     cpu_task: None,
                     split: None,

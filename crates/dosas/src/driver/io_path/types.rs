@@ -3,19 +3,29 @@
 //! Plain state shared by the [`io_path`](super) handlers and the
 //! subsystems that service requests ([`server`](super::super::server),
 //! [`control`](super::super::control)): one [`Req`] per data server part,
-//! one [`AppIo`] per application-level read/write awaiting its parts.
+//! one [`AppIo`] per application-level read/write awaiting its parts. Both
+//! borrow the op name and kernel parameters from the workload the driver
+//! runs (lifetime `'w`) instead of copying them per request.
 
 use cluster::NodeId;
 use kernels::{Kernel, KernelParams, KernelState};
 use pfs::FileHandle;
 use simkit::{SimTime, TaskId};
 
+/// The parameters of an app I/O that requests no server-side kernel.
+pub(in super::super) static NO_PARAMS: KernelParams = KernelParams {
+    width: None,
+    pattern: None,
+    centroids: None,
+    full_output: false,
+};
+
 /// Application-level I/O identifier (one MPI-IO call; 1..n [`Req`] parts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(in super::super) struct AppIoId(pub(in super::super) u64);
 
 /// Per-part (per data server) request state.
-pub(in super::super) struct Req {
+pub(in super::super) struct Req<'w> {
     pub(in super::super) app: AppIoId,
     pub(in super::super) part_index: usize,
     pub(in super::super) client: NodeId,
@@ -24,7 +34,7 @@ pub(in super::super) struct Req {
     /// This request writes data instead of reading it.
     pub(in super::super) is_write: bool,
     /// Active operation, `None` for plain reads.
-    pub(in super::super) op: Option<String>,
+    pub(in super::super) op: Option<&'w str>,
     pub(in super::super) fh: FileHandle,
     pub(in super::super) cpu_task: Option<TaskId>,
     /// Planned partial-offload fraction (extension); `None` = run fully.
@@ -60,19 +70,20 @@ pub(in super::super) enum Piece {
 }
 
 /// One application-level I/O, assembled from its per-server parts.
-pub(in super::super) struct AppIo {
+pub(in super::super) struct AppIo<'w> {
     pub(in super::super) rank: usize,
     /// Issuing rank's tenant (`None` in untenanted workloads).
     pub(in super::super) tenant: Option<usize>,
-    pub(in super::super) op: Option<String>,
-    pub(in super::super) params: KernelParams,
-    pub(in super::super) client_op: Option<(String, KernelParams)>,
+    pub(in super::super) op: Option<&'w str>,
+    /// The active op's parameters ([`NO_PARAMS`] without one).
+    pub(in super::super) params: &'w KernelParams,
+    pub(in super::super) client_op: Option<(&'w str, &'w KernelParams)>,
     pub(in super::super) parts_pending: usize,
     pub(in super::super) total_bytes: f64,
     pub(in super::super) issued_at: SimTime,
     /// Bytes the client must still process (rate per `rate_op`).
     pub(in super::super) client_bytes: f64,
-    pub(in super::super) rate_op: Option<String>,
+    pub(in super::super) rate_op: Option<&'w str>,
     pub(in super::super) pieces: Vec<(usize, Piece)>,
     pub(in super::super) any_active_completed: bool,
     pub(in super::super) any_demoted: bool,
@@ -81,6 +92,16 @@ pub(in super::super) struct AppIo {
     /// The chain of the part whose delivery completed the I/O — the causal
     /// chain of the app's latency (`cfg.autopsy` only).
     pub(in super::super) chain: Option<crate::driver::autopsy::ReqChain>,
+}
+
+impl AppIo<'_> {
+    /// The op the I/O requested, server- or client-side, as the owned name
+    /// its record and autopsy report.
+    pub(in super::super) fn op_name(&self) -> Option<String> {
+        self.op
+            .or(self.client_op.map(|(op, _)| op))
+            .map(str::to_owned)
+    }
 }
 
 /// Byte span of one file targeted by an I/O call.
@@ -92,12 +113,12 @@ pub(in super::super) struct FileSpan<'a> {
 }
 
 /// What a rank asks the I/O path to do.
-pub(in super::super) enum IssueKind {
+pub(in super::super) enum IssueKind<'w> {
     Read {
         /// Server-side kernel request (`MPI_File_read_ex`).
-        active: Option<(String, KernelParams)>,
+        active: Option<(&'w str, &'w KernelParams)>,
         /// Client-side kernel over the raw bytes (TS-degraded reads).
-        client_op: Option<(String, KernelParams)>,
+        client_op: Option<(&'w str, &'w KernelParams)>,
     },
     Write,
 }

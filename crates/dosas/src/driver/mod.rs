@@ -26,6 +26,11 @@
 //! completions resolve through one owner table: `IoPath::flows` for the
 //! fabric, `Servers::disk_work` for disks, `Servers::cpu_work` for CPUs.
 //!
+//! The driver borrows the [`Workload`] it runs: a rank holds a reference to
+//! its program, and a request borrows its op name and kernel parameters
+//! from the program that issued it, so per-rank driver state is one small
+//! `RankState` and no step copies an op.
+//!
 //! | module        | state       | handled events                         |
 //! |---------------|-------------|----------------------------------------|
 //! | [`ranks`]     | `Ranks`     | `RankStep`                             |
@@ -63,7 +68,8 @@ use cluster::{ClusterConfig, ClusterState, NodeId};
 use control::Control;
 use io_path::IoPath;
 use kernels::calibrate::synthetic_f64_stream;
-use kernels::KernelRegistry;
+use kernels::{KernelParams, KernelRegistry};
+use mpiio::program::Op;
 use pfs::{MemoryStore, MetadataServer, RequestId, StripeLayout};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -154,25 +160,31 @@ pub enum Ev {
 }
 
 /// The simulation world: shared resources plus one state struct per
-/// handler module (see the module-level architecture table).
-pub struct Driver {
+/// handler module (see the module-level architecture table). It borrows
+/// the workload it runs for `'w`.
+pub struct Driver<'w> {
     cfg: DriverConfig,
     dosas: Option<DosasConfig>,
     cluster: ClusterState,
     registry: KernelRegistry,
     cpu_jitter_rng: ChaCha8Rng,
-    ranks: Ranks,
-    io: IoPath,
+    ranks: Ranks<'w>,
+    io: IoPath<'w>,
     server: Servers,
     control: Control,
     telemetry: Telemetry,
 }
 
-impl Driver {
+impl<'w> Driver<'w> {
     /// Build the world for a workload. Compute nodes are auto-expanded so
     /// every rank gets a dedicated core (the paper's one-process-per-core
     /// placement).
-    pub fn new(mut cfg: DriverConfig, workload: &Workload) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// If the cluster config is invalid, or the workload requests a kernel
+    /// the registry cannot build (an unknown op or missing parameters).
+    pub fn new(mut cfg: DriverConfig, workload: &'w Workload) -> Self {
         let ranks_needed = workload.rank_count();
         let cores = cfg.cluster.cores_per_compute.max(1);
         let min_nodes = ranks_needed.div_ceil(cores);
@@ -265,12 +277,14 @@ impl Driver {
             cfg.cluster.compute_nodes,
         );
 
+        let registry = KernelRegistry::with_defaults();
+        let io_ops = check_kernels_and_count_io(workload, &registry);
         let disk_timers = cluster.disks.iter().map(|_| Timer::default()).collect();
         let cpu_timers = cluster.cpus.iter().map(|_| Timer::default()).collect();
         Driver {
             dosas,
             cluster,
-            registry: KernelRegistry::with_defaults(),
+            registry,
             cpu_jitter_rng: rng.stream("cpu-jitter"),
             ranks,
             io: IoPath {
@@ -304,7 +318,7 @@ impl Driver {
                 bw_estimate: BTreeMap::new(),
                 telemetry: crate::policy::PolicyTelemetry::default(),
             },
-            telemetry: Telemetry::new(&cfg.obs, cfg.autopsy.then(|| workload.rank_count())),
+            telemetry: Telemetry::new(&cfg.obs, io_ops, cfg.autopsy.then(|| workload.rank_count())),
             cfg,
         }
     }
@@ -434,7 +448,34 @@ impl SeedPlan {
     }
 }
 
-impl World for Driver {
+/// Check every kernel the workload requests, server- or client-side,
+/// against `registry` (once per distinct op and parameters), and count its
+/// I/O ops, one [`AppIoRecord`] each. The timing plane builds no kernel, so
+/// this check is what rejects an unknown op or missing parameters there.
+fn check_kernels_and_count_io(workload: &Workload, registry: &KernelRegistry) -> usize {
+    let mut io_ops = 0;
+    let mut checked: Vec<(&str, &KernelParams)> = Vec::new();
+    for op in workload.programs.iter().flat_map(|p| &p.ops) {
+        let kernel = match op {
+            Op::ReadEx {
+                operation, params, ..
+            } => Some((operation.as_str(), params)),
+            Op::Read { client_op, .. } => client_op.as_ref().map(|(op, p)| (op.as_str(), p)),
+            Op::Write { .. } => None,
+            _ => continue,
+        };
+        io_ops += 1;
+        if let Some((op, params)) = kernel.filter(|k| !checked.contains(k)) {
+            if let Err(e) = registry.create(op, params) {
+                panic!("workload requests kernel {op:?} the registry cannot build: {e}");
+            }
+            checked.push((op, params));
+        }
+    }
+    io_ops
+}
+
+impl World for Driver<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {

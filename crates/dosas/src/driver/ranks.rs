@@ -15,10 +15,11 @@ use cluster::NodeId;
 use mpiio::program::{Op, RankProgram};
 use simkit::{Scheduler, SimTime};
 
-/// One rank's interpreter state.
-pub(super) struct RankState {
+/// One rank's interpreter state. The program is borrowed from the workload
+/// the driver runs, so a rank costs this struct and nothing more.
+pub(super) struct RankState<'w> {
     pub(super) node: NodeId,
-    pub(super) program: RankProgram,
+    pub(super) program: &'w RankProgram,
     pub(super) pc: usize,
     pub(super) finished: Option<SimTime>,
     pub(super) at_barrier: bool,
@@ -96,8 +97,8 @@ impl CollectiveRun {
 }
 
 /// Rank-subsystem state embedded in [`Driver`].
-pub(super) struct Ranks {
-    pub(super) states: Vec<RankState>,
+pub(super) struct Ranks<'w> {
+    pub(super) states: Vec<RankState<'w>>,
     pub(super) barrier_count: usize,
     pub(super) finished: usize,
     /// Ranks waiting at a collective plus its execution state once all
@@ -107,11 +108,15 @@ pub(super) struct Ranks {
     pub(super) collective_waiting: usize,
 }
 
-impl Ranks {
+impl<'w> Ranks<'w> {
     /// Place one rank per core, round-robin over compute nodes (the
     /// paper's one-process-per-core placement; nodes were pre-expanded by
     /// [`Driver::new`]).
-    pub(super) fn new(programs: &[RankProgram], tenants: &[usize], compute_nodes: usize) -> Self {
+    pub(super) fn new(
+        programs: &'w [RankProgram],
+        tenants: &[usize],
+        compute_nodes: usize,
+    ) -> Self {
         assert!(
             tenants.is_empty() || tenants.len() == programs.len(),
             "tenant labels must be absent or cover every rank \
@@ -125,7 +130,7 @@ impl Ranks {
                 .enumerate()
                 .map(|(i, p)| RankState {
                     node: NodeId(i % compute_nodes),
-                    program: p.clone(),
+                    program: p,
                     pc: 0,
                     finished: None,
                     at_barrier: false,
@@ -149,10 +154,11 @@ impl Ranks {
     }
 }
 
-impl Driver {
+impl<'w> Driver<'w> {
     pub(super) fn rank_step(&mut self, rank: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let state = &self.ranks.states[rank];
-        let Some(op) = state.program.ops.get(state.pc).cloned() else {
+        let program: &'w RankProgram = state.program;
+        let Some(op) = program.ops.get(state.pc) else {
             if self.ranks.states[rank].finished.is_none() {
                 self.ranks.states[rank].finished = Some(now);
                 self.ranks.finished += 1;
@@ -172,14 +178,14 @@ impl Driver {
                 datatype,
                 client_op,
             } => {
-                let bytes = datatype.transfer_size(count);
+                let bytes = datatype.transfer_size(*count);
                 let kind = IssueKind::Read {
                     active: None,
-                    client_op,
+                    client_op: client_op.as_ref().map(|(op, p)| (op.as_str(), p)),
                 };
                 let span = FileSpan {
-                    path: &path,
-                    offset,
+                    path,
+                    offset: *offset,
                     bytes,
                 };
                 self.issue(rank, span, kind, now, sched);
@@ -192,17 +198,18 @@ impl Driver {
                 operation,
                 params,
             } => {
-                let bytes = datatype.transfer_size(count);
+                let bytes = datatype.transfer_size(*count);
                 // Scheme transform: under Traditional Storage the enhanced
                 // call degrades to a plain read + client-side kernel.
+                let kernel = Some((operation.as_str(), params));
                 let (active, client_op) = match &self.cfg.scheme {
-                    crate::config::Scheme::Traditional => (None, Some((operation, params))),
-                    _ => (Some((operation, params)), None),
+                    crate::config::Scheme::Traditional => (None, kernel),
+                    _ => (kernel, None),
                 };
                 let kind = IssueKind::Read { active, client_op };
                 let span = FileSpan {
-                    path: &path,
-                    offset,
+                    path,
+                    offset: *offset,
                     bytes,
                 };
                 self.issue(rank, span, kind, now, sched);
@@ -213,10 +220,10 @@ impl Driver {
                 count,
                 datatype,
             } => {
-                let bytes = datatype.transfer_size(count);
+                let bytes = datatype.transfer_size(*count);
                 let span = FileSpan {
-                    path: &path,
-                    offset,
+                    path,
+                    offset: *offset,
                     bytes,
                 };
                 self.issue(rank, span, IssueKind::Write, now, sched);
@@ -242,22 +249,25 @@ impl Driver {
                 if !self.telemetry.rank_chains.is_empty() {
                     let ch = &mut self.telemetry.rank_chains[rank];
                     ch.arm(span.as_secs_f64());
-                    ch.record(RankSeg::Sleep, node, now + span, None);
+                    ch.record(RankSeg::Sleep, node, now + *span, None);
                 }
                 self.ranks.states[rank].pc += 1;
-                sched.after(span, Ev::RankStep(rank));
+                sched.after(*span, Ev::RankStep(rank));
             }
             Op::Bcast { root, bytes } => {
-                self.join_collective(rank, CollectiveKind::Bcast { root }, bytes, now, sched);
+                let kind = CollectiveKind::Bcast { root: *root };
+                self.join_collective(rank, kind, *bytes, now, sched);
             }
             Op::Reduce { root, bytes } => {
-                self.join_collective(rank, CollectiveKind::Reduce { root }, bytes, now, sched);
+                let kind = CollectiveKind::Reduce { root: *root };
+                self.join_collective(rank, kind, *bytes, now, sched);
             }
             Op::Allreduce { bytes } => {
-                self.join_collective(rank, CollectiveKind::Allreduce, bytes, now, sched);
+                self.join_collective(rank, CollectiveKind::Allreduce, *bytes, now, sched);
             }
             Op::Gather { root, bytes } => {
-                self.join_collective(rank, CollectiveKind::Gather { root }, bytes, now, sched);
+                let kind = CollectiveKind::Gather { root: *root };
+                self.join_collective(rank, kind, *bytes, now, sched);
             }
             Op::Barrier => {
                 self.ranks.states[rank].at_barrier = true;

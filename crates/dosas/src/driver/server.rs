@@ -123,7 +123,7 @@ pub(super) struct Servers {
     pub(super) cpu_timers: Vec<Timer>,
 }
 
-impl Driver {
+impl Driver<'_> {
     // ----- resource timers: re-armed after every change -----
 
     pub(super) fn schedule_disk(&mut self, ordinal: usize, sched: &mut Scheduler<Ev>) {
@@ -302,18 +302,18 @@ impl Driver {
             let r = &self.io.reqs[&id];
             (
                 r.server,
-                r.op.clone().expect("active request has op"),
+                r.op.expect("active request has op"),
                 r.bytes,
                 r.split.unwrap_or(1.0),
             )
         };
-        let core_seconds = self.cpu_cost(split * bytes / self.cfg.rates.per_core(&op));
+        let core_seconds = self.cpu_cost(split * bytes / self.cfg.rates.per_core(op));
         self.obs_inc("server", "kernels_started", obs::Label::Node(server.0));
         let task = self.cluster.cpus[server.0].submit(now, core_seconds);
         self.server
             .cpu_work
             .insert((server.0, task), CpuWork::Kernel(id));
-        let params = self.io.apps[&self.io.reqs[&id].app].params.clone();
+        let params = self.io.apps[&self.io.reqs[&id].app].params;
         let r = self.io.reqs.get_mut(&id).expect("req");
         r.cpu_task = Some(task);
         r.t_kernel_start = now;
@@ -332,7 +332,7 @@ impl Driver {
         if self.cfg.data_plane {
             r.kernel = Some(
                 self.registry
-                    .create(&op, &params)
+                    .create(op, params)
                     .expect("registered op constructs"),
             );
         }
@@ -413,7 +413,7 @@ impl Driver {
                         .and_then(|h| h.cause.map(|c| (h.wait_secs, c)))
                 });
                 (
-                    r.op.clone().unwrap_or_default(),
+                    r.op.unwrap_or_default(),
                     r.t_kernel_start,
                     r.app.0,
                     self.io.apps[&r.app].tenant,
@@ -474,7 +474,7 @@ impl Driver {
             let r = self.io.reqs.get_mut(&id).expect("req");
             r.cpu_task = None;
             r.processed_bytes = r.bytes;
-            (r.op.clone().expect("kernel has op"), r.bytes)
+            (r.op.expect("kernel has op"), r.bytes)
         };
         if self.cfg.data_plane {
             let r = self.io.reqs.get_mut(&id).expect("req");
@@ -483,7 +483,7 @@ impl Driver {
             kernel.process_chunk(data);
             r.result = Some(kernel.finalize());
         }
-        let result_bytes = self.cfg.rates.result_model(&op).bytes(bytes);
+        let result_bytes = self.cfg.rates.result_model(op).bytes(bytes);
         let dst = self.io.reqs[&id].client;
         self.launch_flow(id, server, dst, result_bytes, now, sched);
     }

@@ -41,8 +41,10 @@ pub(super) struct Telemetry {
 }
 
 impl Telemetry {
-    pub(super) fn new(cfg: &ObsConfig, autopsy_ranks: Option<usize>) -> Self {
+    /// `io_ops` is the workload's count of I/O ops: one record each.
+    pub(super) fn new(cfg: &ObsConfig, io_ops: usize, autopsy_ranks: Option<usize>) -> Self {
         Telemetry {
+            records: Vec::with_capacity(io_ops),
             obs: cfg.enabled.then(|| Observer::new(cfg.clone())),
             rank_chains: autopsy_ranks
                 .map(|n| vec![RankChain::start(SimTime::ZERO); n])
@@ -52,7 +54,7 @@ impl Telemetry {
     }
 }
 
-impl Driver {
+impl Driver<'_> {
     /// Record one timeline span: a complete ("ph":"X") chrome://tracing
     /// event for one pipeline stage of a request — queue+disk, kernel,
     /// transfer, client compute — on the node that did the work, timed in

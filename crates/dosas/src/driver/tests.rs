@@ -471,6 +471,24 @@ fn bandwidth_estimator_converges_to_the_sampled_link() {
     );
 }
 
+/// The timing plane builds no kernel, so `Driver::new` checks every kernel
+/// the workload requests against the registry: a run that would never
+/// demote (AS keeps every read on storage) still rejects an unknown op or
+/// missing parameters before its first event.
+#[test]
+#[should_panic(expected = "\"nonsense\" the registry cannot build")]
+fn timing_plane_rejects_an_unknown_op_up_front() {
+    let w = Workload::uniform_active(1, 1, mb(1), "nonsense", KernelParams::default());
+    Driver::new(det_config(Scheme::ActiveStorage), &w);
+}
+
+#[test]
+#[should_panic(expected = "gaussian2d requires width")]
+fn timing_plane_rejects_missing_kernel_params_up_front() {
+    let w = Workload::uniform_active(1, 1, mb(1), "gaussian2d", KernelParams::default());
+    Driver::new(det_config(Scheme::ActiveStorage), &w);
+}
+
 #[test]
 fn bandwidth_estimation_off_reports_nothing() {
     let w = Workload::uniform_active(16, 1, mb(128), "gaussian2d", gaussian_params());

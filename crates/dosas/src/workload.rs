@@ -99,7 +99,10 @@ impl Workload {
         let mut w = Self::uniform_active(per_server, storage_nodes, bytes, op, params);
         let half = w.programs.len() / 2;
         for program in w.programs.iter_mut().skip(half) {
-            program.ops.insert(0, Op::Compute { span: delay });
+            let read = std::mem::take(&mut program.ops);
+            program.ops = std::iter::once(Op::Compute { span: delay })
+                .chain(read)
+                .collect();
         }
         w
     }
@@ -283,20 +286,21 @@ impl Workload {
         let mut tenants = Vec::with_capacity(requests.len());
         for &(arrival, tenant, server, bytes) in &requests {
             let (op, params, _) = &spec.tenants[tenant];
-            programs.push(
-                RankProgram::new()
-                    .push(Op::Sleep {
+            programs.push(RankProgram {
+                ops: vec![
+                    Op::Sleep {
                         span: SimSpan::from_secs_f64(arrival),
-                    })
-                    .push(Op::ReadEx {
+                    },
+                    Op::ReadEx {
                         path: format!("/data/open-t{tenant}-server{server}.dat"),
                         offset: 0,
                         count: bytes,
                         datatype: Datatype::Byte,
                         operation: op.clone(),
                         params: params.clone(),
-                    }),
-            );
+                    },
+                ],
+            });
             tenants.push(tenant);
         }
         Workload {
@@ -371,14 +375,14 @@ pub fn plain_reads(processes: usize, storage_nodes: usize, bytes: u64) -> Worklo
         })
         .collect();
     let programs = (0..processes)
-        .map(|i| {
-            RankProgram::new().push(Op::Read {
+        .map(|i| RankProgram {
+            ops: vec![Op::Read {
                 path: files[i % storage_nodes].path.clone(),
                 offset: 0,
                 count: bytes,
                 datatype: Datatype::Byte,
                 client_op: None,
-            })
+            }],
         })
         .collect();
     Workload {
@@ -427,6 +431,10 @@ mod tests {
         assert!(matches!(w.programs[0].ops[0], Op::ReadEx { .. }));
         assert!(matches!(w.programs[2].ops[0], Op::Compute { .. }));
         assert!(matches!(w.programs[3].ops[0], Op::Compute { .. }));
+        assert!(
+            w.programs.iter().all(|p| p.ops.capacity() == p.ops.len()),
+            "delayed programs are rebuilt at their exact length"
+        );
     }
 
     #[test]

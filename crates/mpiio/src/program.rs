@@ -5,6 +5,12 @@
 //! benchmarks (SUM, 2-D Gaussian) are one `ReadEx` per process; richer
 //! multi-application mixes (paper Figure 1) interleave `Read`, `ReadEx`,
 //! `Compute` and `Barrier` steps.
+//!
+//! Generated programs are built at their exact length, `RankProgram { ops:
+//! vec![..] }`, rather than grown with [`RankProgram::push`]: a vector's
+//! first push reserves room for four [`Op`]s, and a workload holds one
+//! program per rank for the whole run, so a workload of two-op programs
+//! would carry half its program memory as spare capacity.
 
 use crate::datatype::Datatype;
 use kernels::KernelParams;
@@ -110,14 +116,16 @@ impl RankProgram {
     /// Convenience: a single active read of `bytes` bytes (the paper's
     /// benchmark shape — each process requests one I/O at a time).
     pub fn single_read_ex(path: &str, bytes: u64, operation: &str, params: KernelParams) -> Self {
-        RankProgram::new().push(Op::ReadEx {
-            path: path.to_string(),
-            offset: 0,
-            count: bytes,
-            datatype: Datatype::Byte,
-            operation: operation.to_string(),
-            params,
-        })
+        RankProgram {
+            ops: vec![Op::ReadEx {
+                path: path.to_string(),
+                offset: 0,
+                count: bytes,
+                datatype: Datatype::Byte,
+                operation: operation.to_string(),
+                params,
+            }],
+        }
     }
 
     /// Convenience: a single normal read plus client-side processing.
@@ -127,13 +135,15 @@ impl RankProgram {
         operation: &str,
         params: KernelParams,
     ) -> Self {
-        RankProgram::new().push(Op::Read {
-            path: path.to_string(),
-            offset: 0,
-            count: bytes,
-            datatype: Datatype::Byte,
-            client_op: Some((operation.to_string(), params)),
-        })
+        RankProgram {
+            ops: vec![Op::Read {
+                path: path.to_string(),
+                offset: 0,
+                count: bytes,
+                datatype: Datatype::Byte,
+                client_op: Some((operation.to_string(), params)),
+            }],
+        }
     }
 
     /// Total bytes this rank will request.
@@ -158,6 +168,7 @@ mod tests {
     fn single_read_ex_shape() {
         let p = RankProgram::single_read_ex("/f", 128 << 20, "sum", KernelParams::default());
         assert_eq!(p.len(), 1);
+        assert_eq!(p.ops.capacity(), 1, "built at its exact length");
         assert!(p.ops[0].is_active_io());
         assert_eq!(p.total_request_bytes(), 128 << 20);
     }
@@ -167,6 +178,7 @@ mod tests {
         let p =
             RankProgram::single_read_with_client_op("/f", 1024, "stats", KernelParams::default());
         assert!(!p.ops[0].is_active_io());
+        assert_eq!(p.ops.capacity(), 1, "built at its exact length");
         assert_eq!(p.ops[0].request_bytes(), 1024);
     }
 

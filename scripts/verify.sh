@@ -40,6 +40,8 @@ cargo test -q -p dosas --lib solvers_cross_check_to_k16
 # One request table per server (DESIGN.md §3): R's table is the probed
 # queue — snapshot rows, Table II totals, depth and transitions agree.
 cargo test -q -p dosas --lib runtime::
+# Driver memory (DESIGN.md §7): exact-size programs, bounded heap per rank.
+cargo test -q --test driver_memory
 # Incremental-fabric guarantees (DESIGN.md §10): the coalesced/dirty-set
 # fill must be bit-identical to the from-scratch fill in both substrates,
 # the slot-indexed share resource must match its map-and-heap reference
