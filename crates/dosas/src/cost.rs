@@ -22,6 +22,7 @@
 
 use crate::config::OpRates;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The paper's `h(x)`: result size for `x` input bytes, `fixed + ratio·x`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,14 +61,14 @@ pub struct RequestSpec {
     /// `d_i` in bytes.
     pub bytes: f64,
     /// Operation name (selects rates and `h`).
-    pub op: String,
+    pub op: Arc<str>,
 }
 
 impl RequestSpec {
-    pub fn new(bytes: f64, op: &str) -> Self {
+    pub fn new(bytes: f64, op: impl Into<Arc<str>>) -> Self {
         RequestSpec {
             bytes,
-            op: op.to_string(),
+            op: op.into(),
         }
     }
 }

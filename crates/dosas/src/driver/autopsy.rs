@@ -29,6 +29,7 @@ use super::Driver;
 use serde::Serialize;
 use simkit::{FaultKind, Hop, SimTime, SpanChain};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Why a hop waited. The taxonomy follows the contention channels the
 /// DOSAS paper names, plus `CpuShare` for processor-sharing stretch on a
@@ -157,7 +158,7 @@ pub struct RequestAutopsy {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub tenant: Option<usize>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub op: Option<String>,
+    pub op: Option<Arc<str>>,
     pub bytes: f64,
     pub issued_at: SimTime,
     pub completed_at: SimTime,
@@ -329,7 +330,7 @@ impl AutopsyReport {
     pub(super) fn compute(
         requests: Vec<RequestAutopsy>,
         rank_chains: Vec<RankChain>,
-        rank_tenants: &[Option<usize>],
+        rank_tenants: &[usize],
         policy: &str,
     ) -> AutopsyReport {
         let mut tally = Tally::default();
@@ -346,7 +347,7 @@ impl AutopsyReport {
             }
         }
         for (rank, ch) in rank_chains.iter().enumerate() {
-            let tenant = rank_tenants.get(rank).copied().flatten();
+            let tenant = rank_tenants.get(rank).copied();
             for h in ch.hops() {
                 if matches!(h.kind, RankSeg::Io(_)) {
                     continue;
@@ -719,7 +720,7 @@ mod tests {
             Some(WaitCause::CollectiveBarrier),
         );
 
-        let rep = AutopsyReport::compute(vec![r0, r1], vec![ch0, ch1], &[Some(0), Some(1)], "none");
+        let rep = AutopsyReport::compute(vec![r0, r1], vec![ch0, ch1], &[0, 1], "none");
         // Waits: 0.6 disk-queue + 1.0 cpu-share + 0.5 collective-barrier.
         assert!((rep.total_wait_secs - 2.1).abs() < 1e-12);
         let sum_cause: f64 = rep.wait_by_cause.iter().map(|c| c.wait_secs).sum();
@@ -760,7 +761,7 @@ mod tests {
         let mut ch = RankChain::start(SimTime::ZERO);
         ch.arm(f64::INFINITY);
         ch.record(RankSeg::Io(7), 0, t(2.0), None);
-        let rep = AutopsyReport::compute(vec![r], vec![ch], &[Some(2)], "tenant-dwrr");
+        let rep = AutopsyReport::compute(vec![r], vec![ch], &[2], "tenant-dwrr");
         let text = rep.render(5);
         for needle in [
             "# request autopsy (policy: tenant-dwrr)",

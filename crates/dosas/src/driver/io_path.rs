@@ -514,7 +514,7 @@ impl Driver<'_> {
         if app.client_bytes > 0.0 {
             let node = self.ranks.states[app.rank].node.0;
             let start = app.t_client_start;
-            let op = app.rate_op.unwrap_or_default();
+            let op = app.rate_op.map_or("", |op| &**op);
             let tenant = app.tenant;
             let wait = chain.as_ref().and_then(|ch| {
                 ch.hops()

@@ -68,7 +68,7 @@ impl<'w> Driver<'w> {
             app_id,
             AppIo {
                 rank,
-                tenant: self.ranks.states[rank].tenant,
+                tenant: self.ranks.tenant(rank),
                 op: op_name,
                 params,
                 client_op,
@@ -95,7 +95,7 @@ impl<'w> Driver<'w> {
                     .runtimes
                     .get_mut(&server)
                     .expect("extent targets a storage node")
-                    .track(id, op_name.map(str::to_owned), total as f64);
+                    .track(id, op_name.cloned(), total as f64);
             }
             self.io.reqs.insert(
                 id,

@@ -5,12 +5,15 @@
 //! [`control`](super::super::control)): one [`Req`] per data server part,
 //! one [`AppIo`] per application-level read/write awaiting its parts. Both
 //! borrow the op name and kernel parameters from the workload the driver
-//! runs (lifetime `'w`) instead of copying them per request.
+//! runs (lifetime `'w`) instead of copying them per request; what outlives
+//! the request (R's row, the record, the autopsy) clones the workload's
+//! shared op name, not its text.
 
 use cluster::NodeId;
 use kernels::{Kernel, KernelParams, KernelState};
 use pfs::FileHandle;
 use simkit::{SimTime, TaskId};
+use std::sync::Arc;
 
 /// The parameters of an app I/O that requests no server-side kernel.
 pub(in super::super) static NO_PARAMS: KernelParams = KernelParams {
@@ -34,7 +37,7 @@ pub(in super::super) struct Req<'w> {
     /// This request writes data instead of reading it.
     pub(in super::super) is_write: bool,
     /// Active operation, `None` for plain reads.
-    pub(in super::super) op: Option<&'w str>,
+    pub(in super::super) op: Option<&'w Arc<str>>,
     pub(in super::super) fh: FileHandle,
     pub(in super::super) cpu_task: Option<TaskId>,
     /// Planned partial-offload fraction (extension); `None` = run fully.
@@ -74,16 +77,16 @@ pub(in super::super) struct AppIo<'w> {
     pub(in super::super) rank: usize,
     /// Issuing rank's tenant (`None` in untenanted workloads).
     pub(in super::super) tenant: Option<usize>,
-    pub(in super::super) op: Option<&'w str>,
+    pub(in super::super) op: Option<&'w Arc<str>>,
     /// The active op's parameters ([`NO_PARAMS`] without one).
     pub(in super::super) params: &'w KernelParams,
-    pub(in super::super) client_op: Option<(&'w str, &'w KernelParams)>,
+    pub(in super::super) client_op: Option<(&'w Arc<str>, &'w KernelParams)>,
     pub(in super::super) parts_pending: usize,
     pub(in super::super) total_bytes: f64,
     pub(in super::super) issued_at: SimTime,
     /// Bytes the client must still process (rate per `rate_op`).
     pub(in super::super) client_bytes: f64,
-    pub(in super::super) rate_op: Option<&'w str>,
+    pub(in super::super) rate_op: Option<&'w Arc<str>>,
     pub(in super::super) pieces: Vec<(usize, Piece)>,
     pub(in super::super) any_active_completed: bool,
     pub(in super::super) any_demoted: bool,
@@ -95,12 +98,10 @@ pub(in super::super) struct AppIo<'w> {
 }
 
 impl AppIo<'_> {
-    /// The op the I/O requested, server- or client-side, as the owned name
-    /// its record and autopsy report.
-    pub(in super::super) fn op_name(&self) -> Option<String> {
-        self.op
-            .or(self.client_op.map(|(op, _)| op))
-            .map(str::to_owned)
+    /// The op the I/O requested, server- or client-side, as the shared
+    /// name its record and autopsy report.
+    pub(in super::super) fn op_name(&self) -> Option<Arc<str>> {
+        self.op.or(self.client_op.map(|(op, _)| op)).cloned()
     }
 }
 
@@ -116,9 +117,9 @@ pub(in super::super) struct FileSpan<'a> {
 pub(in super::super) enum IssueKind<'w> {
     Read {
         /// Server-side kernel request (`MPI_File_read_ex`).
-        active: Option<(&'w str, &'w KernelParams)>,
+        active: Option<(&'w Arc<str>, &'w KernelParams)>,
         /// Client-side kernel over the raw bytes (TS-degraded reads).
-        client_op: Option<(&'w str, &'w KernelParams)>,
+        client_op: Option<(&'w Arc<str>, &'w KernelParams)>,
     },
     Write,
 }

@@ -6,6 +6,7 @@ use mpiio::status::ExecutionSite;
 use serde::Serialize;
 use simkit::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One application-level I/O (one `Read`/`ReadEx` call of one rank).
 #[derive(Debug, Clone, Serialize)]
@@ -17,7 +18,8 @@ pub struct AppIoRecord {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub tenant: Option<usize>,
     pub bytes: f64,
-    pub op: Option<String>,
+    /// The op the I/O requested, shared with the workload's program.
+    pub op: Option<Arc<str>>,
     pub issued_at: SimTime,
     pub completed_at: SimTime,
     pub site: ExecutionSite,

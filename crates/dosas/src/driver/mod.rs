@@ -29,7 +29,9 @@
 //! The driver borrows the [`Workload`] it runs: a rank holds a reference to
 //! its program, and a request borrows its op name and kernel parameters
 //! from the program that issued it, so per-rank driver state is one small
-//! `RankState` and no step copies an op.
+//! `RankState` and no step copies an op. Tenants are read from the
+//! workload in place, and what outlives a request (R's row, the record,
+//! the autopsy) clones the program's shared op name, not its text.
 //!
 //! | module        | state       | handled events                         |
 //! |---------------|-------------|----------------------------------------|
@@ -254,9 +256,6 @@ impl<'w> Driver<'w> {
         };
         // Partial offload runs kernels from a FIFO work queue.
         let fifo_kernels = dosas.as_ref().is_some_and(|d| d.partial_offload);
-        let rank_tenants: Vec<Option<usize>> = (0..workload.rank_count())
-            .map(|r| workload.tenants.get(r).copied())
-            .collect();
         let policy = dosas.as_ref().map(|d| {
             d.policy.build(&PolicyContext {
                 rates: &cfg.rates,
@@ -266,7 +265,7 @@ impl<'w> Driver<'w> {
                 memory_capacity: cfg.cluster.storage_memory,
                 partial_offload: d.partial_offload,
                 slos: &cfg.slos,
-                rank_tenants: &rank_tenants,
+                rank_tenants: &workload.tenants,
             })
         });
         let policy_name = policy.as_ref().map_or("none", |p| p.name());
@@ -459,8 +458,8 @@ fn check_kernels_and_count_io(workload: &Workload, registry: &KernelRegistry) ->
         let kernel = match op {
             Op::ReadEx {
                 operation, params, ..
-            } => Some((operation.as_str(), params)),
-            Op::Read { client_op, .. } => client_op.as_ref().map(|(op, p)| (op.as_str(), p)),
+            } => Some((&**operation, &**params)),
+            Op::Read { client_op, .. } => client_op.as_ref().map(|(op, p)| (&**op, &**p)),
             Op::Write { .. } => None,
             _ => continue,
         };

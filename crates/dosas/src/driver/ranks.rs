@@ -23,9 +23,6 @@ pub(super) struct RankState<'w> {
     pub(super) pc: usize,
     pub(super) finished: Option<SimTime>,
     pub(super) at_barrier: bool,
-    /// Tenant the rank belongs to (`None` in untenanted workloads); stamped
-    /// onto every application I/O the rank issues.
-    pub(super) tenant: Option<usize>,
 }
 
 /// Which collective is being executed.
@@ -99,6 +96,9 @@ impl CollectiveRun {
 /// Rank-subsystem state embedded in [`Driver`].
 pub(super) struct Ranks<'w> {
     pub(super) states: Vec<RankState<'w>>,
+    /// Tenant of each rank, borrowed from the workload (empty when it is
+    /// untenanted); stamped onto every application I/O the rank issues.
+    pub(super) tenants: &'w [usize],
     pub(super) barrier_count: usize,
     pub(super) finished: usize,
     /// Ranks waiting at a collective plus its execution state once all
@@ -114,7 +114,7 @@ impl<'w> Ranks<'w> {
     /// [`Driver::new`]).
     pub(super) fn new(
         programs: &'w [RankProgram],
-        tenants: &[usize],
+        tenants: &'w [usize],
         compute_nodes: usize,
     ) -> Self {
         assert!(
@@ -134,9 +134,9 @@ impl<'w> Ranks<'w> {
                     pc: 0,
                     finished: None,
                     at_barrier: false,
-                    tenant: tenants.get(i).copied(),
                 })
                 .collect(),
+            tenants,
             barrier_count: 0,
             finished: 0,
             collective: None,
@@ -146,6 +146,11 @@ impl<'w> Ranks<'w> {
 
     pub(super) fn len(&self) -> usize {
         self.states.len()
+    }
+
+    /// Tenant of `rank` (`None` in untenanted workloads).
+    pub(super) fn tenant(&self, rank: usize) -> Option<usize> {
+        self.tenants.get(rank).copied()
     }
 
     /// The rank → node placement for collective planning.
@@ -181,7 +186,7 @@ impl<'w> Driver<'w> {
                 let bytes = datatype.transfer_size(*count);
                 let kind = IssueKind::Read {
                     active: None,
-                    client_op: client_op.as_ref().map(|(op, p)| (op.as_str(), p)),
+                    client_op: client_op.as_ref().map(|(op, p)| (op, &**p)),
                 };
                 let span = FileSpan {
                     path,
@@ -201,7 +206,7 @@ impl<'w> Driver<'w> {
                 let bytes = datatype.transfer_size(*count);
                 // Scheme transform: under Traditional Storage the enhanced
                 // call degrades to a plain read + client-side kernel.
-                let kernel = Some((operation.as_str(), params));
+                let kernel = Some((operation, &**params));
                 let (active, client_op) = match &self.cfg.scheme {
                     crate::config::Scheme::Traditional => (None, kernel),
                     _ => (kernel, None),

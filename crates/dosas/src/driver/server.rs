@@ -413,7 +413,7 @@ impl Driver<'_> {
                         .and_then(|h| h.cause.map(|c| (h.wait_secs, c)))
                 });
                 (
-                    r.op.unwrap_or_default(),
+                    r.op.map_or("", |op| &**op),
                     r.t_kernel_start,
                     r.app.0,
                     self.io.apps[&r.app].tenant,

@@ -305,12 +305,10 @@ impl Driver<'_> {
         // chains; computed before the obs close-out so the attribution can
         // surface as `dosas_attr_*` gauges.
         let autopsy = (!w.telemetry.rank_chains.is_empty()).then(|| {
-            let rank_tenants: Vec<Option<usize>> =
-                w.ranks.states.iter().map(|r| r.tenant).collect();
             AutopsyReport::compute(
                 std::mem::take(&mut w.telemetry.autopsies),
                 std::mem::take(&mut w.telemetry.rank_chains),
-                &rank_tenants,
+                w.ranks.tenants,
                 w.control.policy_name,
             )
         });

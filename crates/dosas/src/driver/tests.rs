@@ -538,7 +538,7 @@ fn write_then_active_read_sees_written_content() {
         count: bytes,
         datatype: Datatype::Byte,
         operation: "sum".into(),
-        params: KernelParams::default(),
+        params: Default::default(),
     });
     let mut w = Workload::uniform_active(1, 1, bytes, "sum", KernelParams::default());
     w.programs = vec![w0, w1];
@@ -928,4 +928,53 @@ fn profile_labels_map_every_event_onto_the_six_layers() {
         "telemetry",
     ];
     assert_eq!(labels, layers.into_iter().collect());
+}
+
+/// A run's records share the workload's op names, yet its JSON text is the
+/// text the owned-string records it replaced produced.
+#[test]
+fn run_metrics_serialize_shared_op_names_as_owned_strings() {
+    /// The owned-string `AppIoRecord`, kept here only to pin the text.
+    #[derive(serde::Serialize)]
+    struct OwnedRecord {
+        app: u64,
+        rank: usize,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        tenant: Option<usize>,
+        bytes: f64,
+        op: Option<String>,
+        issued_at: SimTime,
+        completed_at: SimTime,
+        site: mpiio::status::ExecutionSite,
+    }
+    let apps = vec![
+        ("sum".to_string(), KernelParams::default(), mb(4), true, 2),
+        ("gaussian2d".to_string(), gaussian_params(), mb(4), false, 2),
+    ];
+    let w = Workload::multi_app(&apps, 1);
+    let mut m = Driver::run(det_config(Scheme::dosas_default()), &w);
+    let json = serde_json::to_string(&m).unwrap();
+    assert!(json.contains(r#""op":"sum""#) && json.contains(r#""op":"gaussian2d""#));
+
+    let owned: Vec<OwnedRecord> = m
+        .records
+        .iter()
+        .map(|r| OwnedRecord {
+            app: r.app,
+            rank: r.rank,
+            tenant: r.tenant,
+            bytes: r.bytes,
+            op: r.op.as_deref().map(str::to_owned),
+            issued_at: r.issued_at,
+            completed_at: r.completed_at,
+            site: r.site,
+        })
+        .collect();
+    m.records.clear();
+    let owned_json = serde_json::to_string(&m).unwrap().replacen(
+        r#""records":[]"#,
+        &format!(r#""records":{}"#, serde_json::to_string(&owned).unwrap()),
+        1,
+    );
+    assert_eq!(json, owned_json);
 }

@@ -149,7 +149,7 @@ impl ContentionEstimator {
         }
         let specs: Vec<RequestSpec> = rows
             .iter()
-            .map(|r| RequestSpec::new(r.bytes, r.op.as_deref().unwrap_or_default()))
+            .map(|r| RequestSpec::new(r.bytes, r.op.clone().unwrap_or_default()))
             .collect();
         let model = self.cost_model(probe);
         let items = model.items(&specs);
@@ -435,7 +435,7 @@ mod tests {
     fn probe_with(reqs: &[(u64, &str, f64)]) -> SystemProbe {
         let mut runtime = ActiveIoRuntime::new();
         for &(id, op, bytes) in reqs {
-            let op = (!op.is_empty()).then(|| op.to_string());
+            let op = (!op.is_empty()).then(|| op.into());
             runtime.track(RequestId(id), op, bytes);
             runtime.on_arrival(SimTime::ZERO, RequestId(id));
         }

@@ -201,8 +201,10 @@ pub struct PolicyContext<'a> {
     pub partial_offload: bool,
     /// Declared per-tenant objectives (token-bucket rates honor these).
     pub slos: &'a [TenantSlo],
-    /// Tenant of each rank (index = rank), `None` when untenanted.
-    pub rank_tenants: &'a [Option<usize>],
+    /// Tenant of each rank (index = rank), read in place from
+    /// [`Workload::tenants`](crate::Workload::tenants); empty when the
+    /// workload is untenanted.
+    pub rank_tenants: &'a [usize],
 }
 
 /// Serde-configurable policy selection, embedded in

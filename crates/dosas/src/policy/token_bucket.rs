@@ -77,8 +77,7 @@ impl TokenBucketPolicy {
         assert!(cfg.default_rate > 0.0 && cfg.slo_headroom > 0.0);
         assert!(cfg.burst_secs > 0.0 && cfg.min_rank_cap > 0.0);
         let mut buckets: BTreeMap<usize, Bucket> = BTreeMap::new();
-        for (rank, tenant) in ctx.rank_tenants.iter().enumerate() {
-            let Some(t) = tenant else { continue };
+        for (rank, t) in ctx.rank_tenants.iter().enumerate() {
             let rate = ctx
                 .slos
                 .iter()
@@ -179,7 +178,7 @@ mod tests {
     fn caps_overdrawn_tenant_then_releases() {
         let rates = OpRates::paper();
         let slos = vec![TenantSlo::for_tenant(0).min_bandwidth(100.0)];
-        let rank_tenants = vec![Some(0), Some(0), Some(1)];
+        let rank_tenants = vec![0, 0, 1];
         let cfg = TokenBucketConfig {
             default_rate: 1000.0,
             slo_headroom: 1.0,
@@ -235,7 +234,7 @@ mod tests {
             memory_capacity: 1e6,
             partial_offload: false,
             slos: &[],
-            rank_tenants: &[None, None],
+            rank_tenants: &[],
         };
         let mut p = TokenBucketPolicy::new(TokenBucketConfig::default(), &ctx);
         let t = PolicyTelemetry::default();

@@ -29,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use simkit::stats::TimeWeighted;
 use simkit::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Server-side lifecycle of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,7 +105,7 @@ struct Tracked {
     stage: ServerStage,
     mode: ServiceMode,
     /// Requested operation; `None` for a plain read.
-    op: Option<String>,
+    op: Option<Arc<str>>,
     /// Requested size `d_i` in bytes.
     bytes: f64,
 }
@@ -167,7 +168,7 @@ impl ActiveIoRuntime {
 
     /// Register a read the moment the client sends it: `op` is the
     /// requested kernel (`None` for a plain read), `bytes` its size `d_i`.
-    pub fn track(&mut self, id: RequestId, op: Option<String>, bytes: f64) {
+    pub fn track(&mut self, id: RequestId, op: Option<Arc<str>>, bytes: f64) {
         let active = op.is_some();
         let prev = self.requests.insert(
             id,
@@ -438,7 +439,7 @@ mod tests {
 
     /// Track and arrive an active (`op` non-empty) or normal read at `T0`.
     fn queue(r: &mut ActiveIoRuntime, id: u64, op: &str, bytes: f64) {
-        let op = (!op.is_empty()).then(|| op.to_string());
+        let op = (!op.is_empty()).then(|| Arc::from(op));
         r.track(RequestId(id), op, bytes);
         r.on_arrival(T0, RequestId(id));
     }
@@ -752,7 +753,7 @@ mod tests {
         ) {
             let mut r = ActiveIoRuntime::new();
             let id = RequestId(0);
-            r.track(id, (active == 1).then(|| "sum".to_string()), 64.0);
+            r.track(id, (active == 1).then(|| "sum".into()), 64.0);
             let mut delivered = false;
             let (mut arrived, mut done, mut writes) = (0u64, 0u64, 0u64);
             for (step, cmd) in cmds.into_iter().enumerate() {

@@ -13,6 +13,7 @@ use mpiio::Datatype;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use simkit::{RngFactory, SimSpan};
+use std::sync::Arc;
 
 /// How a file is placed on the storage nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,7 +27,8 @@ pub enum LayoutSpec {
 /// A file the workload reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FileSpec {
-    pub path: String,
+    /// The file's path, shared by every op that reads or writes it.
+    pub path: Arc<str>,
     pub bytes: u64,
     pub layout: LayoutSpec,
     /// Real content for data-plane runs; `None` lets the driver synthesize
@@ -60,22 +62,11 @@ impl Workload {
         params: KernelParams,
     ) -> Self {
         assert!(per_server > 0 && storage_nodes > 0 && bytes > 0);
-        let files: Vec<FileSpec> = (0..storage_nodes)
-            .map(|s| FileSpec {
-                path: format!("/data/server{s}.dat"),
-                bytes,
-                layout: LayoutSpec::OneServer(s),
-                content: None,
-            })
-            .collect();
+        let files = one_file_per_server(storage_nodes, bytes);
+        let (op, params) = (Arc::from(op), Arc::new(params));
         let programs = (0..per_server * storage_nodes)
             .map(|i| {
-                RankProgram::single_read_ex(
-                    &files[i % storage_nodes].path,
-                    bytes,
-                    op,
-                    params.clone(),
-                )
+                RankProgram::single_read_ex(&files[i % storage_nodes].path, bytes, &op, &params)
             })
             .collect();
         Workload {
@@ -120,23 +111,21 @@ impl Workload {
         let mut files = Vec::new();
         let mut programs = Vec::new();
         for (a, (op, params, bytes, active, ranks)) in apps.iter().enumerate() {
+            let (op, params) = (Arc::from(op.as_str()), Arc::new(params.clone()));
+            let mut paths = FileIndex::new(storage_nodes);
             for r in 0..*ranks {
                 let server = (a + r) % storage_nodes;
-                let path = format!("/data/app{a}-server{server}.dat");
-                if !files.iter().any(|f: &FileSpec| f.path == path) {
-                    files.push(FileSpec {
-                        path: path.clone(),
-                        bytes: *bytes,
-                        layout: LayoutSpec::OneServer(server),
-                        content: None,
-                    });
-                }
-                let program = if *active {
-                    RankProgram::single_read_ex(&path, *bytes, op, params.clone())
+                let path = paths.get_or_add(server, &mut files, || FileSpec {
+                    path: format!("/data/app{a}-server{server}.dat").into(),
+                    bytes: *bytes,
+                    layout: LayoutSpec::OneServer(server),
+                    content: None,
+                });
+                programs.push(if *active {
+                    RankProgram::single_read_ex(path, *bytes, &op, &params)
                 } else {
-                    RankProgram::single_read_with_client_op(&path, *bytes, op, params.clone())
-                };
-                programs.push(program);
+                    RankProgram::single_read_with_client_op(path, *bytes, &op, &params)
+                });
             }
         }
         Workload {
@@ -162,8 +151,9 @@ impl Workload {
             layout: LayoutSpec::StripedAll { stripe_size },
             content: None,
         };
+        let (op, params) = (Arc::from(op), Arc::new(params));
         let programs = (0..processes)
-            .map(|_| RankProgram::single_read_ex(&file.path, bytes, op, params.clone()))
+            .map(|_| RankProgram::single_read_ex(&file.path, bytes, &op, &params))
             .collect();
         Workload {
             files: vec![file],
@@ -183,27 +173,21 @@ impl Workload {
         storage_nodes: usize,
     ) -> Self {
         assert!(storage_nodes > 0 && !mixes.is_empty());
-        let mut files: Vec<FileSpec> = Vec::new();
+        let mut files = Vec::new();
         let mut programs = Vec::new();
         let mut tenants = Vec::new();
         for (t, (op, params, bytes, ranks)) in mixes.iter().enumerate() {
+            let (op, params) = (Arc::from(op.as_str()), Arc::new(params.clone()));
+            let mut paths = FileIndex::new(storage_nodes);
             for r in 0..*ranks {
                 let server = (t + r) % storage_nodes;
-                let path = format!("/data/tenant{t}-server{server}.dat");
-                if !files.iter().any(|f| f.path == path) {
-                    files.push(FileSpec {
-                        path: path.clone(),
-                        bytes: *bytes,
-                        layout: LayoutSpec::OneServer(server),
-                        content: None,
-                    });
-                }
-                programs.push(RankProgram::single_read_ex(
-                    &path,
-                    *bytes,
-                    op,
-                    params.clone(),
-                ));
+                let path = paths.get_or_add(server, &mut files, || FileSpec {
+                    path: format!("/data/tenant{t}-server{server}.dat").into(),
+                    bytes: *bytes,
+                    layout: LayoutSpec::OneServer(server),
+                    content: None,
+                });
+                programs.push(RankProgram::single_read_ex(path, *bytes, &op, &params));
                 tenants.push(t);
             }
         }
@@ -269,35 +253,43 @@ impl Workload {
             max_bytes[tenant][server] = max_bytes[tenant][server].max(bytes);
         }
         let mut files = Vec::new();
+        let mut paths = Vec::with_capacity(spec.tenants.len());
         for (tenant, row) in max_bytes.iter().enumerate() {
+            let mut index = FileIndex::new(spec.storage_nodes);
             for (server, &bytes) in row.iter().enumerate() {
                 if bytes > 0 {
-                    files.push(FileSpec {
-                        path: format!("/data/open-t{tenant}-server{server}.dat"),
+                    index.get_or_add(server, &mut files, || FileSpec {
+                        path: format!("/data/open-t{tenant}-server{server}.dat").into(),
                         bytes,
                         layout: LayoutSpec::OneServer(server),
                         content: None,
                     });
                 }
             }
+            paths.push(index);
         }
+        let kernels: Vec<(Arc<str>, Arc<KernelParams>)> = spec
+            .tenants
+            .iter()
+            .map(|(op, params, _)| (Arc::from(op.as_str()), Arc::new(params.clone())))
+            .collect();
 
         let mut programs = Vec::with_capacity(requests.len());
         let mut tenants = Vec::with_capacity(requests.len());
         for &(arrival, tenant, server, bytes) in &requests {
-            let (op, params, _) = &spec.tenants[tenant];
+            let (op, params) = &kernels[tenant];
             programs.push(RankProgram {
                 ops: vec![
                     Op::Sleep {
                         span: SimSpan::from_secs_f64(arrival),
                     },
                     Op::ReadEx {
-                        path: format!("/data/open-t{tenant}-server{server}.dat"),
+                        path: Arc::clone(paths[tenant].get(server)),
                         offset: 0,
                         count: bytes,
                         datatype: Datatype::Byte,
-                        operation: op.clone(),
-                        params: params.clone(),
+                        operation: Arc::clone(op),
+                        params: Arc::clone(params),
                     },
                 ],
             });
@@ -366,18 +358,11 @@ pub struct OpenLoopSpec {
 
 /// A plain normal-read workload (no kernels anywhere) for file system tests.
 pub fn plain_reads(processes: usize, storage_nodes: usize, bytes: u64) -> Workload {
-    let files: Vec<FileSpec> = (0..storage_nodes)
-        .map(|s| FileSpec {
-            path: format!("/data/server{s}.dat"),
-            bytes,
-            layout: LayoutSpec::OneServer(s),
-            content: None,
-        })
-        .collect();
+    let files = one_file_per_server(storage_nodes, bytes);
     let programs = (0..processes)
         .map(|i| RankProgram {
             ops: vec![Op::Read {
-                path: files[i % storage_nodes].path.clone(),
+                path: Arc::clone(&files[i % storage_nodes].path),
                 offset: 0,
                 count: bytes,
                 datatype: Datatype::Byte,
@@ -389,6 +374,50 @@ pub fn plain_reads(processes: usize, storage_nodes: usize, bytes: u64) -> Worklo
         files,
         programs,
         tenants: vec![],
+    }
+}
+
+/// `/data/server{s}.dat` of `bytes` bytes on each storage node `s`.
+fn one_file_per_server(storage_nodes: usize, bytes: u64) -> Vec<FileSpec> {
+    (0..storage_nodes)
+        .map(|s| FileSpec {
+            path: format!("/data/server{s}.dat").into(),
+            bytes,
+            layout: LayoutSpec::OneServer(s),
+            content: None,
+        })
+        .collect()
+}
+
+/// One group's files (an app's or a tenant's) indexed by storage node:
+/// the shared path of the group's file on each server, added to the
+/// workload's file list the first time a rank targets that server.
+struct FileIndex(Vec<Option<Arc<str>>>);
+
+impl FileIndex {
+    fn new(storage_nodes: usize) -> Self {
+        FileIndex(vec![None; storage_nodes])
+    }
+
+    /// The path of the group's file on `server`, pushing `file()` onto
+    /// `files` if the group has none there yet.
+    fn get_or_add(
+        &mut self,
+        server: usize,
+        files: &mut Vec<FileSpec>,
+        file: impl FnOnce() -> FileSpec,
+    ) -> &Arc<str> {
+        self.0[server].get_or_insert_with(|| {
+            let f = file();
+            let path = Arc::clone(&f.path);
+            files.push(f);
+            path
+        })
+    }
+
+    /// The path of the group's file on `server`, which must exist.
+    fn get(&self, server: usize) -> &Arc<str> {
+        self.0[server].as_ref().expect("a file on every server hit")
     }
 }
 
@@ -409,7 +438,7 @@ mod tests {
     fn ranks_round_robin_over_servers() {
         let w = Workload::uniform_active(2, 3, 10, "sum", KernelParams::default());
         let target = |i: usize| match &w.programs[i].ops[0] {
-            Op::ReadEx { path, .. } => path.clone(),
+            Op::ReadEx { path, .. } => &**path,
             _ => unreachable!(),
         };
         assert_eq!(target(0), "/data/server0.dat");
@@ -505,6 +534,23 @@ mod tests {
         // than partition.
         assert!(w.files.iter().any(|f| f.path.contains("tenant0-server0")));
         assert!(w.files.iter().any(|f| f.path.contains("tenant1-server1")));
+        // Files are listed in the order ranks first hit them, and ranks
+        // reading one file share its path.
+        let paths: Vec<&str> = w.files.iter().map(|f| &*f.path).collect();
+        assert_eq!(
+            paths,
+            [
+                "/data/tenant0-server0.dat",
+                "/data/tenant0-server1.dat",
+                "/data/tenant1-server1.dat",
+                "/data/tenant1-server0.dat",
+            ]
+        );
+        let path = |rank: usize| match &w.programs[rank].ops[0] {
+            Op::ReadEx { path, .. } => path,
+            _ => unreachable!(),
+        };
+        assert!(Arc::ptr_eq(path(2), path(4)));
         let json = serde_json::to_string(&w).unwrap();
         assert_eq!(serde_json::from_str::<Workload>(&json).unwrap(), w);
     }

@@ -6,16 +6,23 @@
 //! multi-application mixes (paper Figure 1) interleave `Read`, `ReadEx`,
 //! `Compute` and `Barrier` steps.
 //!
-//! Generated programs are built at their exact length, `RankProgram { ops:
+//! What every request repeats is shared, not copied: an op's `path`, its
+//! kernel `operation` name and its [`KernelParams`] are reference-counted,
+//! so a generator builds one allocation per file and one per (operation,
+//! parameters) and clones the handles into each rank, and the driver
+//! carries the same handles down to the records it keeps. Generated
+//! programs are also built at their exact length, `RankProgram { ops:
 //! vec![..] }`, rather than grown with [`RankProgram::push`]: a vector's
 //! first push reserves room for four [`Op`]s, and a workload holds one
-//! program per rank for the whole run, so a workload of two-op programs
-//! would carry half its program memory as spare capacity.
+//! program per rank for the whole run. A rank's program then costs its
+//! ops and nothing per string or parameter set. Serialized, a shared field
+//! reads exactly as an owned one.
 
 use crate::datatype::Datatype;
 use kernels::KernelParams;
 use serde::{Deserialize, Serialize};
 use simkit::SimSpan;
+use std::sync::Arc;
 
 /// One step of a rank's program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,27 +31,27 @@ pub enum Op {
     /// application then processes the data itself if `client_op` is set
     /// (this is how the TS scheme runs kernels at the client).
     Read {
-        path: String,
+        path: Arc<str>,
         offset: u64,
         count: u64,
         datatype: Datatype,
-        client_op: Option<(String, KernelParams)>,
+        client_op: Option<(Arc<str>, Arc<KernelParams>)>,
     },
     /// The DOSAS call: ask the storage side to run `operation` over the
     /// range and return its result (paper Table I).
     ReadEx {
-        path: String,
+        path: Arc<str>,
         offset: u64,
         count: u64,
         datatype: Datatype,
-        operation: String,
-        params: KernelParams,
+        operation: Arc<str>,
+        params: Arc<KernelParams>,
     },
     /// Write `count × datatype` bytes at `offset` (normal I/O; the
     /// active-storage paper only reads, but a credible parallel file
     /// system moves data both ways).
     Write {
-        path: String,
+        path: Arc<str>,
         offset: u64,
         count: u64,
         datatype: Datatype,
@@ -114,34 +121,40 @@ impl RankProgram {
     }
 
     /// Convenience: a single active read of `bytes` bytes (the paper's
-    /// benchmark shape — each process requests one I/O at a time).
-    pub fn single_read_ex(path: &str, bytes: u64, operation: &str, params: KernelParams) -> Self {
+    /// benchmark shape — each process requests one I/O at a time). The
+    /// handles are cloned, not their contents.
+    pub fn single_read_ex(
+        path: &Arc<str>,
+        bytes: u64,
+        operation: &Arc<str>,
+        params: &Arc<KernelParams>,
+    ) -> Self {
         RankProgram {
             ops: vec![Op::ReadEx {
-                path: path.to_string(),
+                path: Arc::clone(path),
                 offset: 0,
                 count: bytes,
                 datatype: Datatype::Byte,
-                operation: operation.to_string(),
-                params,
+                operation: Arc::clone(operation),
+                params: Arc::clone(params),
             }],
         }
     }
 
     /// Convenience: a single normal read plus client-side processing.
     pub fn single_read_with_client_op(
-        path: &str,
+        path: &Arc<str>,
         bytes: u64,
-        operation: &str,
-        params: KernelParams,
+        operation: &Arc<str>,
+        params: &Arc<KernelParams>,
     ) -> Self {
         RankProgram {
             ops: vec![Op::Read {
-                path: path.to_string(),
+                path: Arc::clone(path),
                 offset: 0,
                 count: bytes,
                 datatype: Datatype::Byte,
-                client_op: Some((operation.to_string(), params)),
+                client_op: Some((Arc::clone(operation), Arc::clone(params))),
             }],
         }
     }
@@ -164,22 +177,103 @@ impl RankProgram {
 mod tests {
     use super::*;
 
+    fn shared(path: &str, operation: &str) -> (Arc<str>, Arc<str>, Arc<KernelParams>) {
+        (path.into(), operation.into(), Arc::default())
+    }
+
     #[test]
     fn single_read_ex_shape() {
-        let p = RankProgram::single_read_ex("/f", 128 << 20, "sum", KernelParams::default());
+        let (path, op, params) = shared("/f", "sum");
+        let p = RankProgram::single_read_ex(&path, 128 << 20, &op, &params);
         assert_eq!(p.len(), 1);
         assert_eq!(p.ops.capacity(), 1, "built at its exact length");
         assert!(p.ops[0].is_active_io());
         assert_eq!(p.total_request_bytes(), 128 << 20);
+        let Op::ReadEx {
+            path: p_path,
+            operation,
+            params: p_params,
+            ..
+        } = &p.ops[0]
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(p_path, &path), "the path is shared");
+        assert!(Arc::ptr_eq(operation, &op), "the op name is shared");
+        assert!(Arc::ptr_eq(p_params, &params), "the params are shared");
     }
 
     #[test]
     fn read_with_client_op_is_not_active() {
-        let p =
-            RankProgram::single_read_with_client_op("/f", 1024, "stats", KernelParams::default());
+        let (path, op, params) = shared("/f", "stats");
+        let p = RankProgram::single_read_with_client_op(&path, 1024, &op, &params);
         assert!(!p.ops[0].is_active_io());
         assert_eq!(p.ops.capacity(), 1, "built at its exact length");
         assert_eq!(p.ops[0].request_bytes(), 1024);
+    }
+
+    /// The owned-string `Op` that shared fields replaced, kept here only to
+    /// pin the serialized form: externally tagged, so the enum's own name
+    /// does not reach the JSON text.
+    mod owned {
+        use super::{Datatype, KernelParams};
+        use serde::Serialize;
+
+        #[derive(Serialize)]
+        pub enum Op {
+            Read {
+                path: String,
+                offset: u64,
+                count: u64,
+                datatype: Datatype,
+                client_op: Option<(String, KernelParams)>,
+            },
+            ReadEx {
+                path: String,
+                offset: u64,
+                count: u64,
+                datatype: Datatype,
+                operation: String,
+                params: KernelParams,
+            },
+        }
+    }
+
+    #[test]
+    fn shared_fields_serialize_as_owned_strings() {
+        let params = KernelParams::with_width(1024);
+        let (path, op, _) = shared("/data/f.dat", "gaussian2d");
+        let shared_params = Arc::new(params.clone());
+        let cases = [
+            (
+                RankProgram::single_read_ex(&path, 4096, &op, &shared_params).ops,
+                owned::Op::ReadEx {
+                    path: "/data/f.dat".into(),
+                    offset: 0,
+                    count: 4096,
+                    datatype: Datatype::Byte,
+                    operation: "gaussian2d".into(),
+                    params: params.clone(),
+                },
+            ),
+            (
+                RankProgram::single_read_with_client_op(&path, 4096, &op, &shared_params).ops,
+                owned::Op::Read {
+                    path: "/data/f.dat".into(),
+                    offset: 0,
+                    count: 4096,
+                    datatype: Datatype::Byte,
+                    client_op: Some(("gaussian2d".into(), params.clone())),
+                },
+            ),
+        ];
+        for (ops, owned) in cases {
+            let json = serde_json::to_string(&ops[0]).unwrap();
+            assert_eq!(json, serde_json::to_string(&owned).unwrap());
+            let back: Op = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, ops[0]);
+            assert_eq!(format!("{back:?}"), format!("{:?}", ops[0]));
+        }
     }
 
     #[test]
@@ -240,7 +334,7 @@ mod tests {
             count: 1000,
             datatype: Datatype::Double,
             operation: "sum".into(),
-            params: KernelParams::default(),
+            params: Arc::default(),
         };
         assert_eq!(op.request_bytes(), 8000);
     }

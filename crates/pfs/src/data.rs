@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
+use std::sync::Arc;
 
 /// Globally unique request id (assigned by the driver).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -18,8 +19,9 @@ pub struct RequestId(pub u64);
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotRow {
     pub id: RequestId,
-    /// Operation name for active requests, `None` for normal I/O.
-    pub op: Option<String>,
+    /// Operation name for active requests, `None` for normal I/O: the
+    /// name the request was issued with, shared rather than copied.
+    pub op: Option<Arc<str>>,
     /// `d_i` in bytes.
     pub bytes: f64,
 }

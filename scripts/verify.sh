@@ -5,15 +5,20 @@
 # repo root.
 #
 #   scripts/verify.sh           # the full gate
-#   scripts/verify.sh --quick   # tier-1 only (release build + root tests)
+#   scripts/verify.sh --quick   # tier-1 (release build + root tests) and
+#                               # a build of every workspace test target
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Tier-1 builds only the root package's tests; the crates' unit tests
+# compile under --workspace alone, so a type change there must not pass
+# the quick gate while their test targets fail to build.
+cargo test -q --workspace --no-run
 
 if [[ "${1:-}" == "--quick" ]]; then
-  echo "verify: OK (quick — tier-1 only)"
+  echo "verify: OK (quick — tier-1 and workspace test builds)"
   exit 0
 fi
 

@@ -137,12 +137,14 @@ fn heterogeneous_sizes_complete() {
     use mpiio::program::RankProgram;
     let mut w =
         Workload::uniform_active(1, 1, 64 << 20, "gaussian2d", KernelParams::with_width(4096));
+    let path = "/data/server0.dat".into();
+    let (op, params) = ("gaussian2d".into(), KernelParams::with_width(4096).into());
     for mb in [128u64, 256, 512] {
         w.programs.push(RankProgram::single_read_ex(
-            "/data/server0.dat",
+            &path,
             (mb << 20).min(64 << 20), // stay within the file
-            "gaussian2d",
-            KernelParams::with_width(4096),
+            &op,
+            &params,
         ));
     }
     let m = Driver::run(det(Scheme::dosas_default()), &w);

@@ -58,7 +58,7 @@ fn build(spec: &WorkloadSpec) -> (DriverConfig, Workload) {
     use dosas::workload::{FileSpec, LayoutSpec};
     let files: Vec<FileSpec> = (0..spec.storage_nodes)
         .map(|s| FileSpec {
-            path: format!("/f{s}"),
+            path: format!("/f{s}").into(),
             bytes: 64 << 20,
             layout: LayoutSpec::OneServer(s),
             content: None,
@@ -73,8 +73,8 @@ fn build(spec: &WorkloadSpec) -> (DriverConfig, Workload) {
             let mut p = RankProgram::single_read_ex(
                 &files[i % spec.storage_nodes].path,
                 mb << 20,
-                op,
-                params(op),
+                &op.into(),
+                &params(op).into(),
             );
             if delay_ms > 0 {
                 p.ops.insert(
