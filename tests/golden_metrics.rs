@@ -60,6 +60,62 @@ fn golden_run_metrics_are_bit_identical() {
     }
 }
 
+/// Deep sharing: 512 kernels fan in on one single-core storage node, so its
+/// CPU time-slices hundreds of kernels at once (the goldens above put at
+/// most six on a core), under a CPU fault that halves the node's capacity at
+/// 1.0 s, stalls it at factor 0 from 1.7 s and restores it at 2.1 s. AS runs
+/// every kernel on the shared core; DOSAS deciding only at its 800 ms probes
+/// first admits every kernel, then interrupts the running ones (over a
+/// hundred at the first probe) and ships their residue; partial offload
+/// splits every request.
+#[test]
+fn deep_sharing_golden_is_bit_identical() {
+    let w = Workload::uniform_active(
+        512,
+        1,
+        2 * MIB,
+        "gaussian2d",
+        KernelParams::with_width(1024),
+    );
+    let storage = ClusterConfig::discfarm().compute_nodes;
+    let plan = FaultPlan::new()
+        .inject(
+            storage,
+            FaultKind::CpuSlowdown { factor: 0.5 },
+            SimTime::from_secs_f64(1.0),
+            SimSpan::from_millis(700),
+        )
+        .inject(
+            storage,
+            FaultKind::CpuSlowdown { factor: 0.0 },
+            SimTime::from_secs_f64(1.7),
+            SimSpan::from_millis(400),
+        );
+    let periodic = DosasConfig {
+        decide_on_arrival: false,
+        probe_period: SimSpan::from_millis(800),
+        ..DosasConfig::default()
+    };
+    for (key, scheme) in [
+        ("as", Scheme::ActiveStorage),
+        ("dosas-periodic", Scheme::Dosas(periodic)),
+        ("dosas-partial", Scheme::dosas_partial()),
+    ] {
+        let c = DriverConfig {
+            fault_plan: plan.clone(),
+            ..cfg(scheme, 1)
+        };
+        let m = Driver::run(c, &w);
+        assert_eq!(m.records.len(), 512, "{key}: every request completes");
+        match key {
+            "as" => assert_eq!(m.runtime.completed_active, 512),
+            "dosas-periodic" => assert!(m.runtime.interrupted > 100, "{:?}", m.runtime),
+            _ => assert_eq!(m.runtime.split, 512),
+        }
+        common::check_golden(&format!("deep-sharing-{key}"), &m);
+    }
+}
+
 /// The snapshots themselves must be reproducible: running a scheme twice
 /// with the same seed yields the same serialized metrics.
 #[test]
