@@ -354,13 +354,15 @@ impl Driver<'_> {
             r.add("fabric", "churn_ops", Label::None, nfc.churn_ops);
             r.add("fabric", "flows_refilled", Label::None, nfc.flows_refilled);
             r.add("fabric", "flows_reused", Label::None, nfc.flows_reused);
-            let (cpu_fills, cpu_churn) = w
+            // Every CPU churn op re-derives the one equal share, so the
+            // share fills equal the churn ops.
+            let cpu_churn = w
                 .cluster
                 .cpus
                 .iter()
-                .map(|c| c.fill_counters())
-                .fold((0, 0), |(f, ch), c| (f + c.fills, ch + c.churn_ops));
-            r.add("cpu", "share_fills", Label::None, cpu_fills);
+                .map(|c| c.fill_counters().churn_ops)
+                .sum();
+            r.add("cpu", "share_fills", Label::None, cpu_churn);
             r.add("cpu", "share_churn_ops", Label::None, cpu_churn);
             // Per-tenant SLO/fairness surface: achieved bandwidth, p95
             // latency and SLO verdicts per tenant, Jain index globally.

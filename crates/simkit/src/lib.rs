@@ -8,8 +8,8 @@
 //! * [`time`] — integer-nanosecond simulation clock ([`SimTime`], [`SimSpan`]).
 //! * [`event`] — a stable-order event queue (FIFO among equal timestamps).
 //! * [`executor`] — the [`executor::World`] trait and run loop.
-//! * [`share`] — a generalized processor-sharing resource with max-min fair
-//!   allocation; models multi-core CPUs and fair-share network links.
+//! * [`share`] — an equal-share processor-sharing resource run by virtual
+//!   time (O(log n) per operation); models multi-core CPUs.
 //! * [`fifo`] — a multi-server FIFO queueing resource; models disks and
 //!   request queues with explicit service times.
 //! * [`timer`] — [`Timer`], the one armed completion tick per resource.
